@@ -14,10 +14,6 @@ icollect_loadgen over a single reactor. Checks:
   4. CLI contract: malformed loadgen invocations exit 2 with a
      diagnostic, not a hang or a crash.
 
-On builds without epoll support the loadgen run falls back to the poll
-backend; the reactor-specific counter checks then key off the backend
-name the report declares, so the smoke stays meaningful everywhere.
-
 Usage: check_loadgen.py /path/to/icollect_node /path/to/icollect_loadgen
 Exits nonzero with a message on the first failed check.
 """
@@ -109,11 +105,12 @@ def check_report(report, peers):
 
 
 def check_transport_counters(report):
-    backend = report["backend"]
+    check(report["backend"] == "epoll",
+          f"backend {report['backend']!r}, expected 'epoll'")
     t = report["transport"]
 
     def counter(name):
-        key = f"{backend}.{name}"
+        key = f"epoll.{name}"
         check(key in t, f"transport counters missing {key}")
         return t[key]
 
@@ -121,19 +118,18 @@ def check_transport_counters(report):
           "transport connects_ok disagrees with established count")
     check(counter("bytes_in") > 0 and counter("bytes_out") > 0,
           "transport byte counters are zero")
-    if backend == "epoll":
-        check(counter("wakeups") > 0, "no epoll wakeups recorded")
-        check(counter("writev_calls") > 0, "no vectored writes recorded")
-        check(counter("batched_bytes") > 0, "no batched bytes recorded")
-        check(counter("pool_hits") > 0, "buffer pool never recycled")
-        nshards = int(counter("shards"))
-        check(nshards >= 1, "no reactor shards reported")
-        spread = sum(int(t.get(f"{backend}.shard{i}.conns", 0))
-                     for i in range(nshards))
-        check(spread == report["conns_established"],
-              f"shard conn gauges sum to {spread}, "
-              f"expected {report['conns_established']}")
-    print(f"check_loadgen: {backend} transport counters OK")
+    check(counter("wakeups") > 0, "no epoll wakeups recorded")
+    check(counter("writev_calls") > 0, "no vectored writes recorded")
+    check(counter("batched_bytes") > 0, "no batched bytes recorded")
+    check(counter("pool_hits") > 0, "buffer pool never recycled")
+    nshards = int(counter("shards"))
+    check(nshards >= 1, "no reactor shards reported")
+    spread = sum(int(t.get(f"epoll.shard{i}.conns", 0))
+                 for i in range(nshards))
+    check(spread == report["conns_established"],
+          f"shard conn gauges sum to {spread}, "
+          f"expected {report['conns_established']}")
+    print("check_loadgen: epoll transport counters OK")
 
 
 def check_cli_errors(loadgen_bin):
@@ -146,6 +142,8 @@ def check_cli_errors(loadgen_bin):
          "unknown flag"),
         ([loadgen_bin, "--target", "127.0.0.1:1", "--backend", "carrier"],
          "unknown backend"),
+        ([loadgen_bin, "--target", "127.0.0.1:1", "--backend", "poll"],
+         "removed poll backend"),
     ]
     for cmd, what in cases:
         proc = subprocess.run(cmd, capture_output=True, text=True,

@@ -153,6 +153,8 @@ def check_cli_errors(cluster_bin, node_bin):
         ([node_bin, "--role", "peer"], "no endpoints"),
         ([node_bin, "--role", "peer", "--listen", "nonsense"],
          "unparseable listen address"),
+        ([node_bin, "--role", "server", "--listen", "127.0.0.1:1",
+          "--backend", "poll"], "removed poll backend"),
     ]
     for cmd, what in cases:
         proc = subprocess.run(cmd, capture_output=True, text=True,

@@ -14,7 +14,6 @@
 ///   ode/       the Sec. 3 fluid model and Theorem 1-4 closed forms
 ///   core/      CollectionSystem facade + CollectionReport
 
-#include "coding/batch_decoder.h"
 #include "coding/coded_block.h"
 #include "coding/decoder.h"
 #include "coding/encoder.h"

@@ -1,7 +1,5 @@
 #include "net/epoll_reactor.h"
 
-#if defined(ICOLLECT_HAVE_EPOLL)
-
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -100,6 +98,15 @@ struct EpollReactor::Conn {
 /// timer wheel, and the connections pinned to it.
 struct EpollReactor::Shard {
   explicit Shard(double tick_seconds) : wheel{tick_seconds} {}
+  // The shard thread never closes these: the destructor may still be
+  // writing wake_fd to stop it, so they go only after it was joined.
+  ~Shard() {
+    if (listen_fd >= 0) ::close(listen_fd);
+    if (wake_fd >= 0) ::close(wake_fd);
+    if (epfd >= 0) ::close(epfd);
+  }
+  Shard(const Shard&) = delete;
+  Shard& operator=(const Shard&) = delete;
 
   std::uint32_t index = 0;
   int epfd = -1;
@@ -149,16 +156,11 @@ EpollReactor::EpollReactor(Options opts)
       throw std::runtime_error("epoll: epoll_create1 failed");
     }
     shard->wake_fd = ::eventfd(0, EFD_NONBLOCK);
-    if (shard->wake_fd < 0) {
-      ::close(shard->epfd);
-      throw std::runtime_error("epoll: eventfd failed");
-    }
+    if (shard->wake_fd < 0) throw std::runtime_error("epoll: eventfd failed");
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.u64 = kWakeTag;
     if (::epoll_ctl(shard->epfd, EPOLL_CTL_ADD, shard->wake_fd, &ev) < 0) {
-      ::close(shard->wake_fd);
-      ::close(shard->epfd);
       throw std::runtime_error("epoll: epoll_ctl(wake) failed");
     }
     shards_.push_back(std::move(shard));
@@ -180,6 +182,7 @@ EpollReactor::~EpollReactor() {
   for (auto& shard : shards_) {
     if (shard->thread.joinable()) shard->thread.join();
   }
+  shards_.clear();  // every thread is gone: now the fds may close
 }
 
 double EpollReactor::now() const {
@@ -282,9 +285,9 @@ void EpollReactor::close_peer(NodeId peer) {
   cmd.kind = Command::Kind::kClose;
   cmd.shared = shared;
   enqueue_command(shared->shard, std::move(cmd));
-  // Same synchronous semantics as TcpTransport::close_peer: the handler
-  // sees the down before this call returns; the shard's own Down event
-  // is swallowed by the closed_by_user flag.
+  // Synchronous like the loopback's close_peer: the handler sees the
+  // down before this call returns; the shard's own Down event is
+  // swallowed by the closed_by_user flag.
   if (handler_ != nullptr) handler_->on_peer_down(peer);
 }
 
@@ -340,9 +343,9 @@ void EpollReactor::poll_once(double max_wait) {
 
 void EpollReactor::attach_metrics(obs::MetricsRegistry& registry,
                                   const std::string& prefix) {
-  // Same zero-hot-path-cost scheme as TcpTransport: counters are always
-  // maintained (relaxed atomic adds); the registry reads them only at
-  // snapshot time through pull gauges.
+  // Zero hot-path cost: counters are always maintained (relaxed atomic
+  // adds); the registry reads them only at snapshot time through pull
+  // gauges.
   const auto count = [&](const char* name,
                          const std::atomic<std::uint64_t>* v) {
     registry.gauge(prefix + name, [v] {
@@ -451,11 +454,11 @@ void EpollReactor::shard_main(Shard& shard) {
     int n = ::epoll_wait(shard.epfd, evs.data(),
                          static_cast<int>(evs.size()), timeout_ms);
     if (n < 0) {
-      if (errno != EINTR) break;  // EBADF etc.: shutting down
+      if (errno != EINTR) break;
       n = 0;
     }
-    wakeups_.fetch_add(1, std::memory_order_relaxed);
     if (n > 0) {
+      wakeups_.fetch_add(1, std::memory_order_relaxed);
       events_.fetch_add(static_cast<std::uint64_t>(n),
                         std::memory_order_relaxed);
     }
@@ -516,9 +519,6 @@ void EpollReactor::shard_main(Shard& shard) {
   for (Command& cmd : cmds) {
     if (cmd.fd >= 0) ::close(cmd.fd);
   }
-  if (shard.listen_fd >= 0) ::close(shard.listen_fd);
-  ::close(shard.wake_fd);
-  ::close(shard.epfd);
 }
 
 void EpollReactor::shard_run_commands(Shard& shard,
@@ -907,5 +907,3 @@ void EpollReactor::shard_reap_idle(Shard& shard) {
 }
 
 }  // namespace icollect::net
-
-#endif  // ICOLLECT_HAVE_EPOLL

@@ -1,17 +1,17 @@
 #pragma once
 
 /// \file epoll_reactor.h
-/// Level-triggered epoll reactor sharded across threads — the Linux
-/// transport that takes one live node from poll(2)'s few-thousand-peer
-/// ceiling to tens of thousands of concurrent connections
-/// (docs/PERFORMANCE.md, "Reactor architecture").
+/// Level-triggered epoll reactor sharded across threads — the live
+/// runtime's real-socket transport, scaling one node to tens of
+/// thousands of concurrent connections (docs/PERFORMANCE.md, "Reactor
+/// architecture"). Linux-only.
 ///
-/// Why poll(2) caps out: every wakeup rebuilds an n-entry pollfd array
-/// and makes the kernel re-scan all n fds, so cost per wakeup is O(n)
-/// whether 1 or 1000 sockets are ready. epoll registers interest once
-/// and each wakeup costs O(ready). On top of that this reactor adds the
-/// three scalability ingredients the ROADMAP names (libtorrent's
-/// session/peer-connection layering is the exemplar):
+/// Why epoll: a poll(2) loop rebuilds an n-entry pollfd array on every
+/// wakeup and makes the kernel re-scan all n fds, so cost per wakeup is
+/// O(n) whether 1 or 1000 sockets are ready. epoll registers interest
+/// once and each wakeup costs O(ready). On top of that this reactor adds
+/// three scalability ingredients (libtorrent's session/peer-connection
+/// layering is the exemplar):
 ///
 ///  - **Sharding.** Connections are distributed over R reactor threads
 ///    by connection-id hash (round-robin in practice); each shard owns
@@ -26,21 +26,25 @@
 ///    up to kMaxIov frames) and reads drain until EAGAIN, so a busy
 ///    wakeup moves many frames per syscall.
 ///
+/// Connection behaviour: outbound connects are asynchronous with a
+/// per-attempt timeout and a bounded retry budget (linear backoff); the
+/// handler sees on_peer_up on success or on_peer_down once the budget
+/// is spent. Every connection has a bounded send queue, and send()
+/// refuses (and counts) once `send_queue_cap_bytes` are already queued,
+/// so backpressure surfaces to the caller instead of ballooning memory.
+/// An optional idle timeout reaps connections that have gone silent.
+/// Interrupted syscalls (EINTR, e.g. the SIGUSR1 stats dump) are
+/// retried, never surfaced as transport errors. Counters are always
+/// maintained; attach_metrics() exports them as pull-based gauges.
+///
 /// Threading contract: the public API (listen/connect/send/close_peer/
 /// poll_once/timers) is driven by ONE thread — the same thread that
 /// constructed the reactor ("the main thread"). Shard threads never run
 /// handler code; they forward lifecycle and byte events through a
 /// mutex-guarded handoff queue that poll_once() drains, so
 /// TransportHandler callbacks (and therefore the whole NodeBase state
-/// machine) stay single-threaded exactly as over TcpTransport or the
-/// loopback. timers() is the node-level wheel and fires in poll_once.
-///
-/// Only compiled where <sys/epoll.h> exists (ICOLLECT_HAVE_EPOLL);
-/// elsewhere make_stream_transport() falls back to the poll backend.
-
-#include "net/stream_transport.h"
-
-#if defined(ICOLLECT_HAVE_EPOLL)
+/// machine) stay single-threaded exactly as over the loopback.
+/// timers() is the node-level wheel and fires in poll_once.
 
 #include <atomic>
 #include <chrono>
@@ -61,10 +65,24 @@
 
 namespace icollect::net {
 
-class EpollReactor final : public StreamTransport {
+class EpollReactor final : public Transport {
  public:
-  using Options = StreamOptions;
+  struct Options {
+    double tick_seconds = 0.001;  ///< TimerWheel granularity
+    std::size_t send_queue_cap_bytes = 4U << 20U;
+    std::size_t read_chunk_bytes = 64U * 1024U;
+    double connect_timeout = 5.0;  ///< per attempt, seconds
+    int connect_retries = 3;       ///< attempts after the first
+    double retry_backoff = 0.5;    ///< seconds, grows linearly
+    double idle_timeout = 0.0;     ///< close silent conns; 0 = off
+    int listen_backlog = 0;        ///< listen(2) backlog; 0 = SOMAXCONN
+    int so_sndbuf = 0;             ///< SO_SNDBUF per conn; 0 = kernel default
+    std::size_t reactor_shards = 0;       ///< reactor threads; 0 = auto
+    std::size_t pool_max_buffers = 4096;  ///< idle buffers the pool retains
+  };
 
+  /// Starts the shard threads. Throws std::runtime_error when the
+  /// kernel refuses an epoll set or eventfd.
   EpollReactor();
   explicit EpollReactor(Options opts);
   ~EpollReactor() override;
@@ -74,20 +92,35 @@ class EpollReactor final : public StreamTransport {
 
   void set_handler(TransportHandler* handler) override { handler_ = handler; }
 
-  std::uint16_t listen(const std::string& host, std::uint16_t port) override;
-  NodeId connect(const std::string& host, std::uint16_t port) override;
+  /// Bind + listen. Pass port 0 for an ephemeral port; the bound port
+  /// is returned either way. Throws std::runtime_error on failure.
+  std::uint16_t listen(const std::string& host, std::uint16_t port);
+
+  /// Begin an asynchronous connect; returns the connection handle
+  /// immediately. Outcome arrives as on_peer_up / on_peer_down.
+  NodeId connect(const std::string& host, std::uint16_t port);
+
   bool send(NodeId peer, std::span<const std::uint8_t> bytes) override;
   void close_peer(NodeId peer) override;
 
-  [[nodiscard]] TimerWheel& timers() noexcept override { return wheel_; }
-  [[nodiscard]] double now() const override;
-  void poll_once(double max_wait = 0.05) override;
-  [[nodiscard]] std::size_t open_connections() const override;
+  /// Node-level timers (gossip, TTL, pulls). Advanced off the wall
+  /// clock by poll_once(); use only from the driving thread.
+  [[nodiscard]] TimerWheel& timers() noexcept { return wheel_; }
+
+  /// Wall-clock seconds since construction (the wheel's time base).
+  [[nodiscard]] double now() const;
+
+  /// One event-loop round: wait up to `max_wait` seconds for shard
+  /// events, dispatch handler callbacks, then advance the timer wheel.
+  void poll_once(double max_wait = 0.05);
+
+  /// Connections not yet closed (established + still connecting).
+  [[nodiscard]] std::size_t open_connections() const;
+
+  /// Export the counters into `registry` as pull-based gauges under
+  /// `prefix`. The registry must outlive the reactor's use.
   void attach_metrics(obs::MetricsRegistry& registry,
-                      const std::string& prefix = "epoll.") override;
-  [[nodiscard]] const char* backend_name() const noexcept override {
-    return "epoll";
-  }
+                      const std::string& prefix = "epoll.");
 
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();
@@ -128,7 +161,10 @@ class EpollReactor final : public StreamTransport {
   [[nodiscard]] std::uint64_t partial_drains() const noexcept {
     return partial_drains_.load(std::memory_order_relaxed);
   }
-  /// epoll_wait returns across all shards / ready events they carried.
+  /// wakeups(): epoll_wait returns, across all shards, that carried at
+  /// least one ready event (timeouts and EINTR returns do not count).
+  /// events_dispatched(): the ready events they carried, so it is never
+  /// below wakeups().
   [[nodiscard]] std::uint64_t wakeups() const noexcept {
     return wakeups_.load(std::memory_order_relaxed);
   }
@@ -247,4 +283,3 @@ class EpollReactor final : public StreamTransport {
 
 }  // namespace icollect::net
 
-#endif  // ICOLLECT_HAVE_EPOLL

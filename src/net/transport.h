@@ -11,7 +11,7 @@
 /// a frame, three frames) and owns reassembly via wire::FrameDecoder —
 /// so the node layer behaves identically over the deterministic
 /// in-process loopback (net/loopback.h) and real TCP sockets
-/// (net/tcp.h). Identity lives one layer up: a NodeId is only a local
+/// (net/epoll_reactor.h). Identity lives one layer up: a NodeId is only a local
 /// connection handle; who is on the other end is learned from its
 /// HELLO.
 
@@ -27,8 +27,8 @@ using NodeId = std::uint32_t;
 inline constexpr NodeId kInvalidNodeId = 0xFFFFFFFFU;
 
 /// Event sink a node registers with its transport. Callbacks fire on
-/// the transport's driving thread (all transports here are
-/// single-threaded event loops).
+/// the transport's driving thread only (the epoll reactor's shard
+/// threads hand their events to it and never call the handler).
 class TransportHandler {
  public:
   virtual ~TransportHandler() = default;

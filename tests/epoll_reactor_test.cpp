@@ -1,69 +1,36 @@
 /// \file epoll_reactor_test.cpp
-/// The epoll reactor against real loopback sockets: the same transport
-/// contract net_tcp_test pins down for the poll backend (connect /
-/// bidirectional bytes / close propagation / backpressure / retry
-/// exhaustion), plus what is reactor-specific — shard distribution,
-/// buffer-pool reuse, batching counters, and the backend factory.
-/// Handler callbacks run on the driving thread only, so the recording
-/// handler needs no locks even though shards do the socket work.
-///
-/// On platforms without <sys/epoll.h> only the factory tests compile;
-/// they pin the graceful-fallback behavior instead.
+/// The epoll reactor against real loopback sockets: the transport
+/// contract (ephemeral listen / connect / bidirectional bytes / close
+/// propagation / backpressure / retry exhaustion), socket-level
+/// robustness (short sends on a tiny SO_SNDBUF, EINTR storms, a slow
+/// reader that fills the send queue and gets reaped), and what is
+/// reactor-specific — shard distribution, buffer-pool reuse, batching
+/// and lifecycle counters. Handler callbacks run on the driving thread
+/// only, so the recording handler needs no locks even though shards do
+/// the socket work.
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <csignal>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "net/stream_transport.h"
+#include "net/epoll_reactor.h"
 #include "net/transport.h"
 #include "obs/metrics_registry.h"
 
-#if defined(ICOLLECT_HAVE_EPOLL)
-#include "net/epoll_reactor.h"
-#endif
-
 namespace icollect::net {
 namespace {
-
-TEST(StreamFactory, UnknownBackendThrows) {
-  EXPECT_THROW((void)make_stream_transport("bogus", StreamOptions{}),
-               std::invalid_argument);
-}
-
-TEST(StreamFactory, PollBackendAlwaysAvailable) {
-  const auto t = make_stream_transport("poll", StreamOptions{});
-  ASSERT_NE(t, nullptr);
-  EXPECT_STREQ(t->backend_name(), "poll");
-}
-
-TEST(StreamFactory, AutoPicksEpollWhereAvailable) {
-  const auto t = make_stream_transport("auto", StreamOptions{});
-  ASSERT_NE(t, nullptr);
-  if (epoll_backend_available()) {
-    EXPECT_STREQ(t->backend_name(), "epoll");
-  } else {
-    EXPECT_STREQ(t->backend_name(), "poll");
-  }
-}
-
-TEST(StreamFactory, EpollRequestHonoursAvailability) {
-  if (epoll_backend_available()) {
-    const auto t = make_stream_transport("epoll", StreamOptions{});
-    ASSERT_NE(t, nullptr);
-    EXPECT_STREQ(t->backend_name(), "epoll");
-  } else {
-    EXPECT_THROW((void)make_stream_transport("epoll", StreamOptions{}),
-                 std::invalid_argument);
-  }
-}
-
-#if defined(ICOLLECT_HAVE_EPOLL)
 
 class RecordingHandler final : public TransportHandler {
  public:
@@ -86,7 +53,7 @@ std::vector<std::uint8_t> bytes_of(const std::string& s) {
 /// Pump both transports until `done` or the wall-clock deadline. The
 /// shards work in the background; poll_once only drains their events.
 template <typename Pred>
-bool pump(StreamTransport& a, StreamTransport& b, Pred done,
+bool pump(EpollReactor& a, EpollReactor& b, Pred done,
           double timeout = 10.0) {
   const double t0 = a.now();
   while (a.now() - t0 < timeout) {
@@ -96,6 +63,59 @@ bool pump(StreamTransport& a, StreamTransport& b, Pred done,
   }
   return done();
 }
+
+/// A bare listening socket. The kernel completes TCP handshakes into
+/// its backlog, and nothing sent to it is read until the test calls
+/// accept_and_read() — unlike a reactor, whose shards read on their
+/// own threads whether or not anyone polls it.
+class SilentListener {
+ public:
+  SilentListener() {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof addr;
+    if (fd_ >= 0 &&
+        ::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), len) == 0 &&
+        ::listen(fd_, 8) == 0 &&
+        ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
+      port_ = ntohs(addr.sin_port);
+    }
+  }
+  ~SilentListener() {
+    if (conn_ >= 0) ::close(conn_);
+    if (fd_ >= 0) ::close(fd_);
+  }
+  SilentListener(const SilentListener&) = delete;
+  SilentListener& operator=(const SilentListener&) = delete;
+
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+
+  /// Accept the first queued connection and read `n` bytes from it
+  /// (blocking, giving up after 10 s without data). Returns what came.
+  std::vector<std::uint8_t> accept_and_read(std::size_t n) {
+    std::vector<std::uint8_t> got;
+    conn_ = ::accept(fd_, nullptr, nullptr);
+    if (conn_ < 0) return got;
+    timeval timeout{};
+    timeout.tv_sec = 10;
+    ::setsockopt(conn_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    std::vector<std::uint8_t> buf(64U * 1024U);
+    while (got.size() < n) {
+      const ssize_t r = ::recv(conn_, buf.data(), buf.size(), 0);
+      if (r < 0 && errno == EINTR) continue;
+      if (r <= 0) break;
+      got.insert(got.end(), buf.begin(), buf.begin() + r);
+    }
+    return got;
+  }
+
+ private:
+  int fd_ = -1;
+  int conn_ = -1;
+  std::uint16_t port_ = 0;
+};
 
 TEST(EpollReactor, ConnectExchangeClose) {
   EpollReactor server;
@@ -129,7 +149,7 @@ TEST(EpollReactor, ConnectExchangeClose) {
   EXPECT_GE(server.bytes_received(), 4U);
 
   // Closing on one side surfaces on_peer_down on the other — and
-  // close_peer itself notifies synchronously like the poll backend.
+  // close_peer itself notifies synchronously.
   client.close_peer(conn);
   EXPECT_EQ(hc.downs.size(), 1U);
   EXPECT_EQ(hc.downs[0], conn);
@@ -178,7 +198,7 @@ TEST(EpollReactor, LargeTransferRecyclesBuffers) {
 }
 
 TEST(EpollReactor, BackpressureRefusesOverCap) {
-  StreamOptions opts;
+  EpollReactor::Options opts;
   opts.send_queue_cap_bytes = 64;
   EpollReactor client{opts};
   EpollReactor server;
@@ -206,7 +226,7 @@ TEST(EpollReactor, BackpressureRefusesOverCap) {
 }
 
 TEST(EpollReactor, ConnectToDeadPortFailsAfterRetries) {
-  StreamOptions opts;
+  EpollReactor::Options opts;
   opts.connect_timeout = 0.2;
   opts.connect_retries = 1;
   opts.retry_backoff = 0.05;
@@ -236,7 +256,7 @@ TEST(EpollReactor, ConnectToDeadPortFailsAfterRetries) {
 }
 
 TEST(EpollReactor, ConnectionsSpreadAcrossShards) {
-  StreamOptions opts;
+  EpollReactor::Options opts;
   opts.reactor_shards = 2;
   EpollReactor server{opts};
   EpollReactor client{opts};
@@ -304,7 +324,253 @@ TEST(EpollReactor, SendToUnknownConnRefused) {
   EXPECT_FALSE(t.send(NodeId{424242}, bytes_of("nope")));
 }
 
-#endif  // ICOLLECT_HAVE_EPOLL
+TEST(EpollReactor, EphemeralListenReturnsRealPort) {
+  EpollReactor t;
+  const std::uint16_t port = t.listen("127.0.0.1", 0);
+  EXPECT_GT(port, 0);
+}
+
+TEST(EpollReactor, InstrumentationCountersTrackLifecycle) {
+  EpollReactor server;
+  EpollReactor client;
+  RecordingHandler hs;
+  RecordingHandler hc;
+  server.set_handler(&hs);
+  client.set_handler(&hc);
+
+  obs::MetricsRegistry reg;
+  client.attach_metrics(reg, "cli.");
+
+  const std::uint16_t port = server.listen("127.0.0.1", 0);
+  const NodeId conn = client.connect("127.0.0.1", port);
+  ASSERT_TRUE(pump(server, client, [&] {
+    return !hs.ups.empty() && !hc.ups.empty();
+  }));
+  EXPECT_EQ(client.connects_ok(), 1U);
+  EXPECT_EQ(client.accepts(), 0U);
+  EXPECT_EQ(server.accepts(), 1U);
+
+  // The shard settles its send accounting right after the bytes leave,
+  // which may be a moment after the peer has them: wait for both.
+  ASSERT_TRUE(client.send(conn, bytes_of("ping")));
+  ASSERT_TRUE(pump(server, client, [&] {
+    return hs.received[hs.ups[0]].size() >= 4 &&
+           client.send_queue_bytes() == 0;
+  }));
+  EXPECT_EQ(client.sends(), 1U);
+  EXPECT_GE(client.bytes_sent(), 4U);
+  EXPECT_GE(client.send_queue_high_watermark(), 4U);
+
+  // The registry gauges read the same live counters.
+  EXPECT_DOUBLE_EQ(reg.find_gauge("cli.sends")->value(), 1.0);
+  EXPECT_DOUBLE_EQ(reg.find_gauge("cli.connects_ok")->value(), 1.0);
+  EXPECT_DOUBLE_EQ(reg.find_gauge("cli.outq_bytes")->value(), 0.0);
+  EXPECT_GE(reg.find_gauge("cli.bytes_out")->value(), 4.0);
+
+  // close_peer drops the handle at once; the shard counts the close
+  // when it tears the socket down.
+  client.close_peer(conn);
+  EXPECT_EQ(client.open_connections(), 0U);
+  ASSERT_TRUE(pump(server, client, [&] { return client.closes() == 1; }));
+  EXPECT_DOUBLE_EQ(reg.find_gauge("cli.closes")->value(), 1.0);
+  EXPECT_DOUBLE_EQ(reg.find_gauge("cli.conns")->value(), 0.0);
+}
+
+TEST(EpollReactor, ShortSendsDeliverIntact) {
+  // A tiny socket send buffer and a peer that does not read yet force
+  // the writev path into short writes and EAGAIN: every EAGAIN is a
+  // partial drain that later resumes mid-buffer, and once the peer
+  // reads, the stream must still arrive byte-exact.
+  EpollReactor::Options opts;
+  opts.so_sndbuf = 4096;  // kernel clamps to its minimum, still tiny
+  EpollReactor client{opts};
+  RecordingHandler hc;
+  client.set_handler(&hc);
+  SilentListener reader;
+  ASSERT_GT(reader.port(), 0);
+  const NodeId conn = client.connect("127.0.0.1", reader.port());
+  const double t0 = client.now();
+  while (client.now() - t0 < 10.0 && hc.ups.empty()) client.poll_once(0.01);
+  ASSERT_EQ(hc.ups.size(), 1U);
+
+  // Larger than the kernel buffers on both ends, so it cannot all leave
+  // while nobody reads.
+  std::vector<std::uint8_t> blob(512U * 1024U);
+  for (std::size_t i = 0; i < blob.size(); ++i) {
+    blob[i] = static_cast<std::uint8_t>(i * 40503U >> 8U);
+  }
+  ASSERT_TRUE(client.send(conn, blob));
+  const double t1 = client.now();
+  while (client.now() - t1 < 10.0 && client.partial_drains() == 0) {
+    client.poll_once(0.01);
+  }
+  EXPECT_GT(client.partial_drains(), 0U);
+
+  // The shard resumes the drain on its own thread as the peer reads.
+  EXPECT_EQ(reader.accept_and_read(blob.size()), blob);
+  const double t2 = client.now();
+  while (client.now() - t2 < 10.0 && client.send_queue_bytes() > 0) {
+    client.poll_once(0.01);
+  }
+  EXPECT_EQ(client.send_queue_bytes(), 0U);
+  EXPECT_TRUE(hc.downs.empty());
+}
+
+/// Fires SIGALRM every 2 ms without SA_RESTART for its lifetime, so
+/// blocking syscalls on every thread keep returning EINTR.
+class SignalStorm {
+ public:
+  SignalStorm() {
+    struct sigaction sa{};
+    sa.sa_handler = [](int) {};
+    sa.sa_flags = 0;  // deliberately NOT SA_RESTART
+    sigemptyset(&sa.sa_mask);
+    armed_ = sigaction(SIGALRM, &sa, &old_sa_) == 0;
+    itimerval storm{};
+    storm.it_interval.tv_usec = 2000;
+    storm.it_value.tv_usec = 2000;
+    armed_ = armed_ && setitimer(ITIMER_REAL, &storm, &old_timer_) == 0;
+  }
+  ~SignalStorm() {
+    setitimer(ITIMER_REAL, &old_timer_, nullptr);
+    sigaction(SIGALRM, &old_sa_, nullptr);
+  }
+  SignalStorm(const SignalStorm&) = delete;
+  SignalStorm& operator=(const SignalStorm&) = delete;
+
+  [[nodiscard]] bool armed() const { return armed_; }
+
+ private:
+  struct sigaction old_sa_{};
+  itimerval old_timer_{};
+  bool armed_ = false;
+};
+
+TEST(EpollReactor, TransferSurvivesSignalStorm) {
+  // The storm hits shard threads and the driving thread alike: the
+  // reactor must retry interrupted syscalls, never drop bytes or
+  // surface a spurious close.
+  const SignalStorm storm;
+  ASSERT_TRUE(storm.armed());
+  EpollReactor server;
+  EpollReactor client;
+  RecordingHandler hs;
+  RecordingHandler hc;
+  server.set_handler(&hs);
+  client.set_handler(&hc);
+  const std::uint16_t port = server.listen("127.0.0.1", 0);
+  const NodeId conn = client.connect("127.0.0.1", port);
+  ASSERT_TRUE(pump(server, client, [&] {
+    return !hs.ups.empty() && !hc.ups.empty();
+  }));
+  std::vector<std::uint8_t> blob(1U << 20U);
+  for (std::size_t i = 0; i < blob.size(); ++i) {
+    blob[i] = static_cast<std::uint8_t>(i * 2246822519U >> 16U);
+  }
+  ASSERT_TRUE(client.send(conn, blob));
+  ASSERT_TRUE(pump(server, client, [&] {
+    return hs.received[hs.ups[0]].size() >= blob.size();
+  }));
+  EXPECT_EQ(hs.received[hs.ups[0]], blob);
+  EXPECT_TRUE(hs.downs.empty());
+  EXPECT_TRUE(hc.downs.empty());
+}
+
+TEST(EpollReactor, SlowReaderHitsQueueCapThenIdleReapStaysReconnectSafe) {
+  // A scripted slow-reader peer. A reactor reads on its shard threads
+  // whether or not anyone polls it, so the reader is a bare listening
+  // socket that never accepts. The writer must (1) absorb backpressure
+  // into its bounded send queue, (2) refuse sends — not balloon — once
+  // the cap is hit, and (3) reap the silent connection via the idle
+  // timeout in a way that leaves the reactor reusable for a new
+  // connect.
+  EpollReactor::Options opts;
+  opts.send_queue_cap_bytes = 32U * 1024U;
+  opts.so_sndbuf = 4096;    // tiny kernel buffer: backpressure hits fast
+  opts.idle_timeout = 2.0;  // no progress for 2s => reap
+  EpollReactor client{opts};
+  RecordingHandler hc;
+  client.set_handler(&hc);
+  const SilentListener reader;
+  ASSERT_GT(reader.port(), 0);
+  const NodeId conn = client.connect("127.0.0.1", reader.port());
+  {
+    const double t0 = client.now();
+    while (client.now() - t0 < 10.0 && hc.ups.empty()) {
+      client.poll_once(0.01);  // the kernel completes the handshake
+    }
+  }
+  ASSERT_EQ(hc.ups.size(), 1U);
+
+  // Pump frames at the unread connection until the cap refuses one.
+  const std::vector<std::uint8_t> chunk(4096, 0xAB);
+  const double t0 = client.now();
+  while (client.now() - t0 < 10.0 && hc.downs.empty() &&
+         client.backpressure_refusals() == 0) {
+    (void)client.send(conn, chunk);
+    client.poll_once(0.001);
+  }
+  ASSERT_GT(client.backpressure_refusals(), 0U);
+  EXPECT_LE(client.send_queue_bytes(), opts.send_queue_cap_bytes);
+  EXPECT_LE(client.send_queue_high_watermark(), opts.send_queue_cap_bytes);
+  EXPECT_GT(client.partial_drains(), 0U);
+
+  // The peer never reads: the idle timer reaps the connection.
+  {
+    const double t1 = client.now();
+    while (client.now() - t1 < 10.0 && hc.downs.empty()) {
+      client.poll_once(0.01);
+    }
+  }
+  ASSERT_EQ(hc.downs.size(), 1U);
+  EXPECT_EQ(hc.downs[0], conn);
+  EXPECT_GE(client.idle_reaps(), 1U);
+  EXPECT_EQ(client.open_connections(), 0U);
+  EXPECT_EQ(client.send_queue_bytes(), 0U);  // reap released the queue
+  EXPECT_FALSE(client.send(conn, chunk));    // dead handle refuses
+
+  // Reconnect-safe: the same reactor dials a reading server, traffic
+  // flows, and the idle timer stays quiet.
+  EpollReactor server;
+  RecordingHandler hs;
+  server.set_handler(&hs);
+  const std::uint16_t port = server.listen("127.0.0.1", 0);
+  const NodeId conn2 = client.connect("127.0.0.1", port);
+  ASSERT_TRUE(pump(server, client, [&] {
+    return hc.ups.size() >= 2 && !hs.ups.empty();
+  }));
+  ASSERT_TRUE(client.send(conn2, bytes_of("alive")));
+  ASSERT_TRUE(pump(server, client, [&] {
+    return hs.received[hs.ups.back()].size() >= 5;
+  }));
+  EXPECT_EQ(hs.received[hs.ups.back()], bytes_of("alive"));
+  EXPECT_EQ(hc.downs.size(), 1U);
+}
+
+TEST(EpollReactor, ConnectRetriesAreCounted) {
+  std::uint16_t dead_port = 0;
+  {
+    EpollReactor probe;
+    dead_port = probe.listen("127.0.0.1", 0);
+  }
+  EpollReactor::Options opts;
+  opts.connect_timeout = 0.3;
+  opts.connect_retries = 2;
+  opts.retry_backoff = 0.02;
+  EpollReactor client{opts};
+  RecordingHandler hc;
+  client.set_handler(&hc);
+  client.connect("127.0.0.1", dead_port);
+  const double t0 = client.now();
+  while (client.now() - t0 < 10.0 && hc.downs.empty()) {
+    client.poll_once(0.01);
+  }
+  ASSERT_EQ(hc.downs.size(), 1U);
+  // The first attempt is not a retry; the two extra attempts are.
+  EXPECT_EQ(client.connect_retries(), 2U);
+  EXPECT_EQ(client.connects_failed(), 1U);
+  EXPECT_EQ(client.connects_ok(), 0U);
+}
 
 }  // namespace
 }  // namespace icollect::net

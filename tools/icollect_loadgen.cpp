@@ -1,7 +1,7 @@
 /// \file icollect_loadgen.cpp
 /// Synthetic-peer load generator: drives ONE ServerNode with tens of
 /// thousands of concurrent TCP peers from a single process, to measure
-/// how far each transport backend scales (docs/PERFORMANCE.md;
+/// how far the epoll transport scales (docs/PERFORMANCE.md;
 /// scripts/run_bench.py --node commits the numbers as BENCH_node.json).
 ///
 /// Each synthetic peer is a real connection speaking the real wire
@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "coding/coded_block.h"
-#include "net/stream_transport.h"
+#include "net/epoll_reactor.h"
 #include "obs/json.h"
 #include "obs/metrics_registry.h"
 #include "sim/random.h"
@@ -65,7 +65,7 @@ void usage(const char* argv0) {
       "  --segment-size s    blocks per segment, must match the server\n"
       "                      (default 4)\n"
       "  --payload-bytes n   payload per coded block (default 64)\n"
-      "  --backend NAME      poll | epoll | auto (default auto)\n"
+      "  --backend NAME      socket transport; only epoll (default)\n"
       "  --shards N          epoll reactor threads (default auto)\n"
       "  --ramp R            connects initiated per second (default 2000)\n"
       "  --duration T        total wall-clock cap seconds (default 30)\n"
@@ -99,7 +99,7 @@ struct PeerState {
 /// synthetic peer over one shared transport.
 class LoadGen final : public net::TransportHandler {
  public:
-  LoadGen(net::StreamTransport& transport, std::size_t segment_space,
+  LoadGen(net::EpollReactor& transport, std::size_t segment_space,
           std::size_t segment_size, std::size_t payload_bytes,
           std::uint32_t occupancy, std::uint64_t seed)
       : transport_{transport},
@@ -254,7 +254,7 @@ class LoadGen final : public net::TransportHandler {
     }
   }
 
-  net::StreamTransport& transport_;
+  net::EpollReactor& transport_;
   std::size_t segment_space_;
   std::size_t segment_size_;
   std::size_t payload_bytes_;
@@ -282,7 +282,6 @@ int main(int argc, char** argv) {
   std::size_t segments = 64;
   std::size_t segment_size = 4;
   std::size_t payload_bytes = 64;
-  std::string backend = "auto";
   std::size_t shards = 0;
   double ramp = 2000.0;
   double duration = 30.0;
@@ -313,7 +312,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--payload-bytes") {
       payload_bytes = std::strtoul(value("--payload-bytes"), nullptr, 10);
     } else if (arg == "--backend") {
-      backend = value("--backend");
+      const std::string_view backend{value("--backend")};
+      if (backend != "epoll") {
+        std::fprintf(stderr, "%s: unknown backend '%s' (expected epoll)\n",
+                     argv[0], std::string{backend}.c_str());
+        return 2;
+      }
     } else if (arg == "--shards") {
       shards = std::strtoul(value("--shards"), nullptr, 10);
     } else if (arg == "--ramp") {
@@ -347,14 +351,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  net::StreamOptions topts;
+  net::EpollReactor::Options topts;
   topts.connect_timeout = 5.0;
   topts.connect_retries = 10;  // SYN backlog overflow during the ramp
   topts.retry_backoff = 0.2;
   topts.reactor_shards = shards;
-  std::unique_ptr<net::StreamTransport> transport;
+  std::unique_ptr<net::EpollReactor> transport;
   try {
-    transport = net::make_stream_transport(backend, topts);
+    transport = std::make_unique<net::EpollReactor>(topts);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
     return 2;
@@ -362,8 +366,8 @@ int main(int argc, char** argv) {
   LoadGen gen{*transport, segments,     segment_size,
               payload_bytes, occupancy, seed};
   transport->set_handler(&gen);
-  std::fprintf(stderr, "loadgen: %zu peers -> %s over %s\n", peers,
-               target.c_str(), transport->backend_name());
+  std::fprintf(stderr, "loadgen: %zu peers -> %s over epoll\n", peers,
+               target.c_str());
 
   // Ramped connect: initiate at most `ramp` connects per second so the
   // server's accept path sees a storm it can absorb, not a cliff.
@@ -427,7 +431,7 @@ int main(int argc, char** argv) {
 
   obs::JsonObject out;
   out.field_str("schema", kSchema);
-  out.field_str("backend", transport->backend_name());
+  out.field_str("backend", "epoll");
   out.field("conns_target", peers);
   out.field("conns_established", gen.established());
   out.field("conns_down", gen.downs());
@@ -445,10 +449,9 @@ int main(int argc, char** argv) {
   out.field("frames_per_s", frames_per_s);
   out.field("pull_round_trips_per_s", pull_rt_per_s);
   out.field("duration_s", transport->now());
-  // Transport-side counters (epoll.*/tcp.* inventory) nested verbatim.
+  // Transport-side counters (the epoll.* inventory) nested verbatim.
   obs::MetricsRegistry registry;
-  transport->attach_metrics(registry, std::string{transport->backend_name()} +
-                                          ".");
+  transport->attach_metrics(registry, "epoll.");
   obs::JsonObject tstats;
   registry.for_each_sample([&tstats](std::string_view name, double value) {
     tstats.field(name, value);

@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "net/stream_transport.h"
+#include "net/epoll_reactor.h"
 #include "node/node_config.h"
 #include "node/peer_node.h"
 #include "proto/pull_policy.h"
@@ -38,9 +38,8 @@
 
 namespace {
 
-/// SIGUSR1 requests an on-demand stats dump; the poll loop services it
-/// (poll(2) on Linux returns EINTR rather than restarting, and the loop
-/// wakes at least every transport tick, so the dump is prompt).
+/// SIGUSR1 requests an on-demand stats dump; the event loop services it
+/// (poll_once returns at least every 50 ms, so the dump is prompt).
 volatile std::sig_atomic_t g_dump_requested = 0;
 
 void on_sigusr1(int) { g_dump_requested = 1; }
@@ -82,8 +81,7 @@ void usage(const char* argv0) {
       "counters\n"
       "  --metrics-interval T   sample spacing in seconds (default 0.5)\n"
       "  --trace-out FILE       protocol event trace JSONL\n"
-      "  --backend NAME         poll | epoll | auto (default auto: epoll\n"
-      "                         where the build has it)\n"
+      "  --backend NAME         socket transport; only epoll (default)\n"
       "  --shards N             epoll reactor threads (default auto)\n"
       "  --backlog N            listen(2) backlog (default SOMAXCONN)\n"
       "\n"
@@ -123,7 +121,6 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   std::string trace_out;
   double metrics_interval = 0.5;
-  std::string backend = "auto";
   std::size_t shards = 0;
 
   for (int i = 1; i < argc; ++i) {
@@ -188,7 +185,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace-out") {
       trace_out = value("--trace-out");
     } else if (arg == "--backend") {
-      backend = value("--backend");
+      const std::string_view backend{value("--backend")};
+      if (backend != "epoll") {
+        std::fprintf(stderr, "%s: unknown backend '%s' (expected epoll)\n",
+                     argv[0], std::string{backend}.c_str());
+        return 2;
+      }
     } else if (arg == "--shards") {
       shards = std::strtoul(value("--shards"), nullptr, 10);
     } else if (arg == "--backlog") {
@@ -230,21 +232,24 @@ int main(int argc, char** argv) {
     }
   }
 
-  net::StreamOptions topts;
+  // Before listen(): once the port accepts, a SIGUSR1 may arrive, and
+  // its default action would kill the node.
+  std::signal(SIGUSR1, on_sigusr1);
+  net::EpollReactor::Options topts;
   topts.connect_timeout = 5.0;
   topts.connect_retries = 20;  // peers may start before their server
   topts.retry_backoff = 0.25;
   topts.listen_backlog = cfg.listen_backlog;
   topts.reactor_shards = shards;
-  std::unique_ptr<net::StreamTransport> transport;
+  std::unique_ptr<net::EpollReactor> transport;
   try {
-    transport = net::make_stream_transport(backend, topts);
+    transport = std::make_unique<net::EpollReactor>(topts);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
     return 2;
   }
-  net::StreamTransport& tcp = *transport;
-  std::fprintf(stderr, "transport backend: %s\n", tcp.backend_name());
+  net::EpollReactor& tcp = *transport;
+  std::fprintf(stderr, "transport backend: epoll\n");
 
   std::uint16_t bound_port = 0;
   if (!listen_at.empty()) {
@@ -324,7 +329,6 @@ int main(int argc, char** argv) {
     }
     snaps.start();
   }
-  std::signal(SIGUSR1, on_sigusr1);
 
   const auto done = [&]() -> bool {
     if (peer && cfg.max_segments > 0) return peer->all_injected_acked();

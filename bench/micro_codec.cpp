@@ -19,8 +19,8 @@
 #include "coding/decoder.h"
 #include "coding/encoder.h"
 #include "coding/segment_buffer.h"
+#include "common/rng.h"
 #include "gf/kernels.h"
-#include "sim/random.h"
 
 namespace {
 
@@ -29,7 +29,7 @@ using gf::Kernels;
 constexpr std::size_t kBlockBytes = 1024;
 
 std::vector<std::vector<std::uint8_t>> make_originals(std::size_t s,
-                                                      sim::Rng& rng) {
+                                                      common::Rng& rng) {
   std::vector<std::vector<std::uint8_t>> blocks(s);
   for (auto& b : blocks) {
     b.resize(kBlockBytes);
@@ -50,7 +50,7 @@ class KernelGuard {
 void BM_Encode(benchmark::State& state, Kernels::Kind kind) {
   const KernelGuard guard{kind};
   const auto s = static_cast<std::size_t>(state.range(0));
-  sim::Rng rng{11};
+  common::Rng rng{11};
   const coding::SegmentEncoder enc{{1, 0}, make_originals(s, rng)};
   coding::CodedBlock out;
   for (auto _ : state) {
@@ -64,7 +64,7 @@ void BM_Encode(benchmark::State& state, Kernels::Kind kind) {
 void BM_Recode(benchmark::State& state, Kernels::Kind kind) {
   const KernelGuard guard{kind};
   const auto s = static_cast<std::size_t>(state.range(0));
-  sim::Rng rng{12};
+  common::Rng rng{12};
   const coding::SegmentEncoder enc{{1, 0}, make_originals(s, rng)};
   coding::SegmentBuffer buf{{1, 0}, s};
   for (std::size_t k = 0; k < s; ++k) buf.add(k + 1, enc.encode(rng));
@@ -80,7 +80,7 @@ void BM_Recode(benchmark::State& state, Kernels::Kind kind) {
 void BM_DecodeSegment(benchmark::State& state, Kernels::Kind kind) {
   const KernelGuard guard{kind};
   const auto s = static_cast<std::size_t>(state.range(0));
-  sim::Rng rng{13};
+  common::Rng rng{13};
   const coding::SegmentEncoder enc{{1, 0}, make_originals(s, rng)};
   // Pre-generate enough coded blocks to complete the decode.
   std::vector<coding::CodedBlock> blocks;
@@ -101,7 +101,7 @@ void BM_DecodeSegment(benchmark::State& state, Kernels::Kind kind) {
 
 void BM_InnovationCheck(benchmark::State& state) {
   const auto s = static_cast<std::size_t>(state.range(0));
-  sim::Rng rng{14};
+  common::Rng rng{14};
   const coding::SegmentEncoder enc{{1, 0}, make_originals(s, rng)};
   coding::Decoder dec{{1, 0}, s, 0};
   for (std::size_t k = 0; k + 1 < s; ++k) {
@@ -118,7 +118,7 @@ void BM_InnovationCheck(benchmark::State& state) {
 BENCHMARK(BM_InnovationCheck)->Arg(5)->Arg(20)->Arg(40);
 
 void BM_WireSerialize(benchmark::State& state) {
-  sim::Rng rng{15};
+  common::Rng rng{15};
   const coding::SegmentEncoder enc{{1, 0}, make_originals(20, rng)};
   const coding::CodedBlock b = enc.encode(rng);
   for (auto _ : state) {

@@ -12,10 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "gf/gf256.h"
-#include "gf/gf_matrix.h"
 #include "gf/kernels.h"
-#include "sim/random.h"
 
 namespace {
 
@@ -23,7 +22,7 @@ using namespace icollect;
 using gf::Kernels;
 
 void BM_ScalarMul(benchmark::State& state) {
-  sim::Rng rng{1};
+  common::Rng rng{1};
   std::vector<gf::Element> a(4096), b(4096);
   rng.fill_gf(a);
   rng.fill_gf(b);
@@ -57,7 +56,7 @@ class KernelGuard {
 void BM_AddScaled(benchmark::State& state, Kernels::Kind kind) {
   const KernelGuard guard{kind};
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  sim::Rng rng{2};
+  common::Rng rng{2};
   std::vector<gf::Element> dst(n), src(n);
   rng.fill_gf(dst);
   rng.fill_gf(src);
@@ -76,7 +75,7 @@ void BM_AddScaled(benchmark::State& state, Kernels::Kind kind) {
 void BM_ScaleAssign(benchmark::State& state, Kernels::Kind kind) {
   const KernelGuard guard{kind};
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  sim::Rng rng{6};
+  common::Rng rng{6};
   std::vector<gf::Element> dst(n);
   rng.fill_gf(dst);
   gf::Element c = 2;
@@ -93,7 +92,7 @@ void BM_ScaleAssign(benchmark::State& state, Kernels::Kind kind) {
 void BM_AddAssign(benchmark::State& state, Kernels::Kind kind) {
   const KernelGuard guard{kind};
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  sim::Rng rng{7};
+  common::Rng rng{7};
   std::vector<gf::Element> dst(n), src(n);
   rng.fill_gf(dst);
   rng.fill_gf(src);
@@ -108,7 +107,7 @@ void BM_AddAssign(benchmark::State& state, Kernels::Kind kind) {
 void BM_Dot(benchmark::State& state, Kernels::Kind kind) {
   const KernelGuard guard{kind};
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  sim::Rng rng{3};
+  common::Rng rng{3};
   std::vector<gf::Element> a(n), b(n);
   rng.fill_gf(a);
   rng.fill_gf(b);
@@ -118,35 +117,6 @@ void BM_Dot(benchmark::State& state, Kernels::Kind kind) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-
-void BM_MatrixRank(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  sim::Rng rng{4};
-  gf::Matrix m{n, n};
-  for (std::size_t r = 0; r < n; ++r) rng.fill_gf(m.row(r));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(m.rank());
-  }
-}
-BENCHMARK(BM_MatrixRank)->Arg(8)->Arg(32)->Arg(64);
-
-void BM_MatrixInverse(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  sim::Rng rng{5};
-  gf::Matrix m{1, 1};
-  do {
-    gf::Matrix candidate{n, n};
-    for (std::size_t r = 0; r < n; ++r) rng.fill_gf(candidate.row(r));
-    if (candidate.invertible()) {
-      m = candidate;
-      break;
-    }
-  } while (true);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(m.inverse());
-  }
-}
-BENCHMARK(BM_MatrixInverse)->Arg(8)->Arg(32);
 
 void register_kernel_benchmarks() {
   const Kernels::Kind kinds[] = {Kernels::Kind::kScalar,

@@ -4,9 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include "common/rng.h"
 #include "p2p/network.h"
 #include "sim/poisson_process.h"
-#include "sim/random.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -45,7 +45,7 @@ BENCHMARK(BM_ScheduleCancelHalf);
 void BM_PoissonProcessChurn(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator sim;
-    sim::Rng rng{7};
+    common::Rng rng{7};
     std::uint64_t fires = 0;
     sim::PoissonProcess p{sim, rng, 100.0, [&] { ++fires; }};
     p.start();

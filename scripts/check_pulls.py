@@ -14,19 +14,23 @@ tool emits only for the feedback-driven policies:
   deficit   same, under deficit-weighted sampling.
 
 Every CLI (including `icollect_node`) must reject an unknown policy
-name with exit 2. With --validate, schema-checks the committed
+name with exit 2, and the bench generator `icollect_pulls` must reject
+malformed numeric flags with exit 2 (see table_cli.py). With --validate, schema-checks the committed
 BENCH_pulls.json table, including the headline claim: both feedback
 policies beat uniform on mean pulls-to-completion with non-overlapping
 95% CIs in at least one point per driver.
 
 Usage:
-  check_pulls.py <icollect_sim> <icollect_cluster> <icollect_node>
+  check_pulls.py <icollect_sim> <icollect_cluster> <icollect_node> \
+                 <icollect_pulls>
   check_pulls.py --validate <BENCH_pulls.json>
 """
 
 import json
 import subprocess
 import sys
+
+from table_cli import check_table_cli
 
 SIM_BASE = [
     "peers=24", "lambda=8", "s=4", "mu=8", "gamma=1", "buffer=32",
@@ -211,12 +215,13 @@ def main() -> int:
         validate_bench(argv[1])
         print("bench table OK")
         return 0
-    if len(argv) != 3:
+    if len(argv) != 4:
         print(__doc__, file=sys.stderr)
         return 2
-    sim, cluster, node = argv
+    sim, cluster, node, generator = argv
     check_sim(sim)
     check_cluster(cluster, node)
+    check_table_cli(generator)
     print("pull-policy smoke OK")
     return 0
 

@@ -14,17 +14,21 @@ machine-readable scenario summary each tool emits only under
   trace      the shaped arrival profile drove a normal, complete run.
 
 Also re-runs the cluster byzantine scenario to assert byte-identical
-output under the same seed, and (with --validate) schema-checks the
-committed BENCH_scenarios.json table.
+output under the same seed, checks that the bench generator
+`icollect_scenarios` rejects malformed numeric flags with exit 2 (see
+table_cli.py), and (with --validate) schema-checks the committed
+BENCH_scenarios.json table.
 
 Usage:
-  check_scenarios.py <icollect_sim> <icollect_cluster>
+  check_scenarios.py <icollect_sim> <icollect_cluster> <icollect_scenarios>
   check_scenarios.py --validate <BENCH_scenarios.json>
 """
 
 import json
 import subprocess
 import sys
+
+from table_cli import check_table_cli
 
 SIM_BASE = [
     "peers=24", "lambda=8", "s=4", "mu=8", "gamma=1", "buffer=32",
@@ -220,12 +224,13 @@ def main() -> int:
         validate_bench(argv[1])
         print("bench table OK")
         return 0
-    if len(argv) != 2:
+    if len(argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2
-    sim, cluster = argv
+    sim, cluster, generator = argv
     check_sim(sim)
     check_cluster(cluster)
+    check_table_cli(generator)
     print("scenario smoke OK")
     return 0
 

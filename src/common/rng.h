@@ -12,8 +12,7 @@
 ///
 /// Lives in common/ (not sim/) because the protocol core (src/proto/)
 /// draws from the same stream type while staying independent of the
-/// discrete-event kernel; sim/random.h re-exports these names for the
-/// simulator-side call sites.
+/// discrete-event kernel.
 
 #include <cstdint>
 #include <random>

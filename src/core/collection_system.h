@@ -23,12 +23,12 @@
 #include <memory>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/report.h"
 #include "obs/telemetry.h"
 #include "ode/indirect_ode.h"
 #include "p2p/config.h"
 #include "p2p/network.h"
-#include "sim/random.h"
 #include "workload/generators.h"
 #include "workload/record_store.h"
 #include "workload/stats_record.h"
@@ -114,7 +114,7 @@ class CollectionSystem {
   // Vital-statistics payload machinery (active after
   // use_vital_statistics_payloads()).
   bool records_enabled_ = false;
-  sim::Rng record_rng_;
+  common::Rng record_rng_;
   std::vector<workload::MeasurementModel> models_;  // one per peer slot
   std::unique_ptr<workload::SessionRecordFeed> session_feed_;
 };

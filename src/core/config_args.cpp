@@ -109,17 +109,9 @@ void apply_config_args(p2p::ProtocolConfig& cfg,
         bad("unknown gossip policy '" + std::string(value) + "'");
       }
     } else if (key == "pull") {
-      if (value == "non-empty" || value == "uniform") {
-        cfg.pull_policy = p2p::PullPolicy::kUniformNonEmpty;
-      } else if (value == "all") {
-        cfg.pull_policy = p2p::PullPolicy::kUniformAll;
-      } else if (value == "rarest" || value == "rarest-first") {
-        cfg.pull_policy = p2p::PullPolicy::kRarestFirst;
-      } else if (value == "deficit" || value == "deficit-weighted") {
-        cfg.pull_policy = p2p::PullPolicy::kDeficitWeighted;
-      } else {
-        bad("unknown pull policy '" + std::string(value) + "'");
-      }
+      const auto policy = p2p::parse_pull_policy(value);
+      if (!policy) bad("unknown pull policy '" + std::string(value) + "'");
+      cfg.pull_policy = *policy;
     } else if (key == "fidelity") {
       if (value == "real-coding") {
         cfg.fidelity = p2p::CollectionFidelity::kRealCoding;

@@ -5,10 +5,11 @@
 /// library. Downstream users include this one header.
 ///
 /// Layering (each layer usable on its own):
-///   gf/        GF(2^8) arithmetic, vectors, matrices
+///   common/    contracts, CRC-32, the seedable RNG every layer draws from
+///   gf/        GF(2^8) arithmetic and vector kernels
 ///   coding/    RLNC encoder / recoder / progressive decoder
-///   sim/       discrete-event kernel (clock, events, RNG, processes)
-///   stats/     summaries, histograms, time-weighted signals
+///   sim/       discrete-event kernel (clock, events, processes)
+///   stats/     summaries, latency histograms, time-weighted signals
 ///   workload/  vital-statistics records, packers, traffic profiles
 ///   p2p/       the protocol engine + the direct-collection baseline
 ///   ode/       the Sec. 3 fluid model and Theorem 1-4 closed forms
@@ -19,11 +20,11 @@
 #include "coding/encoder.h"
 #include "coding/segment_buffer.h"
 #include "coding/segment_id.h"
+#include "common/rng.h"
 #include "core/collection_system.h"
 #include "core/config_args.h"
 #include "core/report.h"
 #include "gf/gf256.h"
-#include "gf/gf_matrix.h"
 #include "gf/gf_vector.h"
 #include "ode/closed_form.h"
 #include "ode/indirect_ode.h"
@@ -44,10 +45,9 @@
 #include "p2p/topology.h"
 #include "sim/event_queue.h"
 #include "sim/poisson_process.h"
-#include "sim/random.h"
 #include "sim/simulator.h"
 #include "stats/csv.h"
-#include "stats/histogram.h"
+#include "stats/latency_histogram.h"
 #include "stats/summary.h"
 #include "stats/time_series.h"
 #include "workload/generators.h"

@@ -40,10 +40,10 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/rng.h"
 #include "net/timer_wheel.h"
 #include "net/transport.h"
 #include "obs/metrics_registry.h"
-#include "sim/random.h"
 
 namespace icollect::net {
 
@@ -186,7 +186,7 @@ class LoopbackNet {
 
   Options opts_;
   TimerWheel wheel_;
-  sim::Rng rng_;
+  common::Rng rng_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   /// One-way blocked directions, keyed (from << 32) | to.
   std::unordered_set<std::uint64_t> blocked_links_;

@@ -3,7 +3,7 @@
 #include <string>
 
 #include "common/assert.h"
-#include "sim/random.h"
+#include "common/rng.h"
 
 namespace icollect::node {
 
@@ -34,7 +34,7 @@ LoopbackCluster::LoopbackCluster(const ClusterConfig& cfg,
     // seed agree on the check vectors.
     integrity_ =
         std::make_unique<proto::IntegrityAuthority>(proto::IntegrityParams{
-            sim::splitmix64(cfg.seed ^ 0x1A76E9D2B4C05A31ULL),
+            common::splitmix64(cfg.seed ^ 0x1A76E9D2B4C05A31ULL),
             cfg.integrity_checks});
   }
 
@@ -59,7 +59,7 @@ LoopbackCluster::LoopbackCluster(const ClusterConfig& cfg,
     nc.retain_own_until_acked = cfg.retain_own_until_acked;
     nc.byzantine = i < dishonest_count_;
     nc.corruption = cfg.corruption;
-    nc.seed = sim::splitmix64(cfg.seed + 0x1000 + i);
+    nc.seed = common::splitmix64(cfg.seed + 0x1000 + i);
     peers_.push_back(std::make_unique<PeerNode>(
         nc, net_.endpoint(static_cast<net::NodeId>(i)), net_.timers(),
         metrics, "peer" + std::to_string(i + 1) + "."));
@@ -77,7 +77,7 @@ LoopbackCluster::LoopbackCluster(const ClusterConfig& cfg,
     nc.gamma = cfg.gamma;
     nc.pull_rate = cfg.server_rate;
     nc.pull_policy = cfg.pull_policy;
-    nc.seed = sim::splitmix64(cfg.seed + 0x2000 + i);
+    nc.seed = common::splitmix64(cfg.seed + 0x2000 + i);
     servers_.push_back(std::make_unique<ServerNode>(
         nc,
         net_.endpoint(static_cast<net::NodeId>(cfg.num_peers + i)),

@@ -53,17 +53,6 @@ Gauge& MetricsRegistry::gauge(std::string_view name,
   return g;
 }
 
-stats::Histogram& MetricsRegistry::histogram(std::string_view name, double lo,
-                                             double hi, std::size_t bins) {
-  if (const Metric* m = find(name)) {
-    if (m->kind != Kind::kHistogram) kind_mismatch(name);
-    return *m->hist;
-  }
-  Metric& m = create(name, Kind::kHistogram);
-  m.hist = std::make_unique<stats::Histogram>(lo, hi, bins);
-  return *m.hist;
-}
-
 stats::LatencyHistogram& MetricsRegistry::latency(std::string_view name) {
   if (const Metric* m = find(name)) {
     if (m->kind != Kind::kLatency) kind_mismatch(name);
@@ -106,14 +95,6 @@ void MetricsRegistry::for_each_sample(
       case Kind::kGauge:
         fn(m.name, m.gauge->value());
         break;
-      case Kind::kHistogram: {
-        const stats::Histogram& h = *m.hist;
-        fn(m.name + ".count", static_cast<double>(h.total()));
-        fn(m.name + ".p50", h.quantile(0.50));
-        fn(m.name + ".p90", h.quantile(0.90));
-        fn(m.name + ".p99", h.quantile(0.99));
-        break;
-      }
       case Kind::kLatency: {
         const stats::LatencyHistogram& h = *m.latency;
         fn(m.name + ".count", static_cast<double>(h.count()));
@@ -135,9 +116,6 @@ void MetricsRegistry::reset() {
         break;
       case Kind::kGauge:
         m.gauge->reset();
-        break;
-      case Kind::kHistogram:
-        m.hist->reset();
         break;
       case Kind::kLatency:
         m.latency->reset();

@@ -1,9 +1,9 @@
 #pragma once
 
 /// \file metrics_registry.h
-/// Central registry of named metrics — counters, gauges, fixed-bucket
-/// histograms, and exponential-bucket latency histograms — that the
-/// Snapshotter samples into time series.
+/// Central registry of named metrics — counters, gauges and
+/// exponential-bucket latency histograms — that the Snapshotter samples
+/// into time series.
 ///
 /// Design rules:
 ///  - Registration (cold path) hands back a stable reference; the hot
@@ -31,7 +31,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "stats/histogram.h"
 #include "stats/latency_histogram.h"
 
 namespace icollect::obs {
@@ -80,10 +79,6 @@ class MetricsRegistry {
   Gauge& gauge(std::string_view name);
   /// Convenience: register a pull-based gauge in one call.
   Gauge& gauge(std::string_view name, Gauge::Provider provider);
-  /// Fixed-bucket histogram: `bins` equal-width buckets over [lo, hi).
-  /// Find-or-create ignores (lo, hi, bins) when the name already exists.
-  stats::Histogram& histogram(std::string_view name, double lo, double hi,
-                              std::size_t bins);
   /// Exponential-bucket latency histogram (records seconds, exports
   /// <name>.count/.p50/.p90/.p99/.max in seconds).
   stats::LatencyHistogram& latency(std::string_view name);
@@ -96,9 +91,9 @@ class MetricsRegistry {
       std::string_view name) const;
 
   /// Visit every exported sample in registration order. Counters and
-  /// gauges export one value under their own name; a histogram expands
-  /// into <name>.count, <name>.p50, <name>.p90, <name>.p99; a latency
-  /// histogram additionally exports <name>.max.
+  /// gauges export one value under their own name; a latency histogram
+  /// expands into <name>.count, <name>.p50, <name>.p90, <name>.p99 and
+  /// <name>.max.
   void for_each_sample(
       const std::function<void(std::string_view name, double value)>& fn)
       const;
@@ -107,13 +102,13 @@ class MetricsRegistry {
   [[nodiscard]] std::vector<std::string> sample_names() const;
 
   /// Zero every metric's *values* for test isolation: counters to 0,
-  /// histogram bins cleared, pushed gauge values to 0. Registrations,
+  /// latency buckets cleared, pushed gauge values to 0. Registrations,
   /// handed-out references, gauge providers, and export order all
   /// survive — only the accumulated samples are discarded.
   void reset();
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kLatency };
+  enum class Kind { kCounter, kGauge, kLatency };
   struct Metric {
     std::string name;
     Kind kind{};
@@ -121,7 +116,6 @@ class MetricsRegistry {
     // vector growth.
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<stats::Histogram> hist;
     std::unique_ptr<stats::LatencyHistogram> latency;
   };
 

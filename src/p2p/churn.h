@@ -14,15 +14,15 @@
 #include <cmath>
 
 #include "common/assert.h"
+#include "common/rng.h"
 #include "p2p/config.h"
-#include "sim/random.h"
 
 namespace icollect::p2p {
 
 /// Draw one lifetime according to the churn configuration.
 /// Precondition: cfg.enabled and cfg.mean_lifetime > 0.
 [[nodiscard]] inline double sample_lifetime(const ChurnConfig& cfg,
-                                            sim::Rng& rng) {
+                                            common::Rng& rng) {
   ICOLLECT_EXPECTS(cfg.enabled);
   ICOLLECT_EXPECTS(cfg.mean_lifetime > 0.0);
   switch (cfg.distribution) {

@@ -6,8 +6,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "proto/adversary.h"
 #include "proto/policy.h"
@@ -77,6 +79,23 @@ enum class PullPolicy {
     case PullPolicy::kDeficitWeighted: return "deficit-weighted";
   }
   return "?";
+}
+
+/// Parse a pull-policy name as the `pull=` config key and icollect_sim's
+/// --pull-policy spell it; nullopt on unknown names.
+[[nodiscard]] constexpr std::optional<PullPolicy> parse_pull_policy(
+    std::string_view name) noexcept {
+  if (name == "uniform" || name == "non-empty") {
+    return PullPolicy::kUniformNonEmpty;
+  }
+  if (name == "all") return PullPolicy::kUniformAll;
+  if (name == "rarest" || name == "rarest-first") {
+    return PullPolicy::kRarestFirst;
+  }
+  if (name == "deficit" || name == "deficit-weighted") {
+    return PullPolicy::kDeficitWeighted;
+  }
+  return std::nullopt;
 }
 
 /// The sched-layer policy kind a simulator PullPolicy maps to (both

@@ -19,11 +19,11 @@
 #include <memory>
 #include <vector>
 
+#include "common/rng.h"
 #include "obs/profiler.h"
 #include "p2p/config.h"
 #include "p2p/metrics.h"
 #include "sim/poisson_process.h"
-#include "sim/random.h"
 #include "sim/simulator.h"
 #include "stats/summary.h"
 #include "stats/time_series.h"
@@ -140,7 +140,7 @@ class DirectCollector {
   ProtocolConfig cfg_;
   OverflowPolicy policy_;
   sim::Simulator sim_;
-  sim::Rng rng_;
+  common::Rng rng_;
   const workload::ArrivalProfile* profile_ = nullptr;
   std::vector<PeerQueue> queues_;
   DirectCollectorMetrics metrics_;

@@ -36,6 +36,7 @@
 
 #include "coding/coded_block.h"
 #include "coding/segment_id.h"
+#include "common/rng.h"
 #include "obs/clock.h"
 #include "obs/profiler.h"
 #include "p2p/config.h"
@@ -48,7 +49,6 @@
 #include "proto/trace.h"
 #include "sched/rank_tracker.h"
 #include "sim/poisson_process.h"
-#include "sim/random.h"
 #include "sim/simulator.h"
 #include "workload/generators.h"
 
@@ -309,7 +309,7 @@ class Network {
 
   ProtocolConfig cfg_;
   sim::Simulator sim_;
-  sim::Rng rng_;
+  common::Rng rng_;
   Topology topology_;
   std::vector<Peer> peers_;
   /// The server half of the protocol, on the simulator's virtual clock.

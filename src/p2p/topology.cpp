@@ -13,7 +13,7 @@ Topology Topology::complete(std::size_t n) {
 }
 
 Topology Topology::erdos_renyi(std::size_t n, double mean_degree,
-                               sim::Rng& rng) {
+                               common::Rng& rng) {
   ICOLLECT_EXPECTS(n >= 2);
   ICOLLECT_EXPECTS(mean_degree > 0.0 &&
                    mean_degree < static_cast<double>(n));
@@ -41,7 +41,7 @@ Topology Topology::erdos_renyi(std::size_t n, double mean_degree,
 }
 
 Topology Topology::random_regular(std::size_t n, std::size_t degree,
-                                  sim::Rng& rng) {
+                                  common::Rng& rng) {
   ICOLLECT_EXPECTS(n >= 2);
   ICOLLECT_EXPECTS(degree >= 1 && degree < n);
   if ((n * degree) % 2 != 0) {
@@ -100,7 +100,7 @@ Topology Topology::random_regular(std::size_t n, std::size_t degree,
   return fallback;
 }
 
-Topology Topology::build(const ProtocolConfig& cfg, sim::Rng& rng) {
+Topology Topology::build(const ProtocolConfig& cfg, common::Rng& rng) {
   switch (cfg.topology) {
     case TopologyKind::kComplete:
       return complete(cfg.num_peers);
@@ -126,7 +126,7 @@ std::size_t Topology::neighbor(std::size_t v, std::size_t idx) const {
   return adj_[v][idx];
 }
 
-std::size_t Topology::random_neighbor(std::size_t v, sim::Rng& rng) const {
+std::size_t Topology::random_neighbor(std::size_t v, common::Rng& rng) const {
   const std::size_t d = degree(v);
   ICOLLECT_EXPECTS(d > 0);
   return neighbor(v, rng.uniform_index(d));

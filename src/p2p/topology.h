@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "common/assert.h"
+#include "common/rng.h"
 #include "p2p/config.h"
-#include "sim/random.h"
 
 namespace icollect::p2p {
 
@@ -26,7 +26,7 @@ class Topology {
   /// are given one random edge so every peer can gossip.
   [[nodiscard]] static Topology erdos_renyi(std::size_t n,
                                             double mean_degree,
-                                            sim::Rng& rng);
+                                            common::Rng& rng);
 
   /// Random regular-ish graph via the pairing model (degree * n must be
   /// even); multi-edges/self-loops from the pairing are re-drawn, with a
@@ -34,11 +34,11 @@ class Topology {
   /// degree can occasionally be degree-1).
   [[nodiscard]] static Topology random_regular(std::size_t n,
                                                std::size_t degree,
-                                               sim::Rng& rng);
+                                               common::Rng& rng);
 
   /// Build per a ProtocolConfig.
   [[nodiscard]] static Topology build(const ProtocolConfig& cfg,
-                                      sim::Rng& rng);
+                                      common::Rng& rng);
 
   [[nodiscard]] TopologyKind kind() const noexcept { return kind_; }
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
@@ -51,7 +51,7 @@ class Topology {
 
   /// Uniformly random neighbor of v. Precondition: degree(v) > 0.
   [[nodiscard]] std::size_t random_neighbor(std::size_t v,
-                                            sim::Rng& rng) const;
+                                            common::Rng& rng) const;
 
   /// True if the graph is connected (BFS).
   [[nodiscard]] bool connected() const;

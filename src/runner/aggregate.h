@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "core/report.h"
 #include "stats/summary.h"
@@ -32,6 +34,29 @@ namespace icollect::runner {
 /// Half-width of the 95% confidence interval on the mean of `s`
 /// (0 when fewer than two samples).
 [[nodiscard]] double ci95_half_width(const stats::Summary& s);
+
+/// One metric's replica aggregate as a JSON object:
+/// {"mean":..,"stddev":..,"ci95":..,"min":..,"max":..}.
+[[nodiscard]] std::string summary_json(const stats::Summary& s);
+
+/// Named metric summaries for replica loops whose metrics are not a
+/// CollectionReport (the bench-table generators). Rows keep insertion
+/// order, so to_json() is byte-stable across runs with the same seed.
+class MetricTable {
+ public:
+  /// Fold one replica's value into the row `name`, creating the row at
+  /// the end of the table on first use.
+  void add(std::string_view name, double value);
+
+  /// The row's summary, or nullptr if `name` was never added.
+  [[nodiscard]] const stats::Summary* find(std::string_view name) const;
+
+  /// {"<name>":<summary_json>,...} in insertion order.
+  [[nodiscard]] std::string to_json() const;
+
+ private:
+  std::vector<std::pair<std::string, stats::Summary>> rows_;
+};
 
 /// The scalar metrics extracted from each CollectionReport, in the fixed
 /// order they aggregate and serialize in.

@@ -23,7 +23,7 @@
 
 #include <cstdint>
 
-#include "sim/random.h"
+#include "common/rng.h"
 
 namespace icollect::runner {
 
@@ -31,7 +31,7 @@ class SeedSequence {
  public:
   /// A sequence rooted at a user-chosen seed (CLI --seed, bench root).
   explicit constexpr SeedSequence(std::uint64_t root) noexcept
-      : state_{sim::splitmix64(root)} {}
+      : state_{common::splitmix64(root)} {}
 
   /// Sub-sequence for a named domain (sweep cell, bench figure, ...).
   /// child(a).child(b) != child(b).child(a) by construction.
@@ -40,7 +40,7 @@ class SeedSequence {
     return SeedSequence{Derived{}, mix(index, kChildLane)};
   }
 
-  /// Concrete 64-bit stream seed: feed this to sim::Rng / mt19937_64.
+  /// Concrete 64-bit stream seed: feed this to common::Rng / mt19937_64.
   /// Derived in a different lane than child(), so a sequence's internal
   /// state never doubles as one of its emitted seeds.
   [[nodiscard]] constexpr std::uint64_t stream(std::uint64_t index) const
@@ -75,7 +75,7 @@ class SeedSequence {
   [[nodiscard]] constexpr std::uint64_t mix(std::uint64_t index,
                                             std::uint64_t lane) const
       noexcept {
-    return sim::splitmix64(state_ ^ (index + 1) * lane);
+    return common::splitmix64(state_ ^ (index + 1) * lane);
   }
 
   std::uint64_t state_;

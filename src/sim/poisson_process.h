@@ -15,7 +15,7 @@
 #include <utility>
 
 #include "common/assert.h"
-#include "sim/random.h"
+#include "common/rng.h"
 #include "sim/simulator.h"
 
 namespace icollect::sim {
@@ -26,7 +26,7 @@ class PoissonProcess {
 
   /// Create a stopped process. `rate` must be > 0 when started; the
   /// callback is invoked at each event of the process.
-  PoissonProcess(Simulator& simulator, Rng& rng, double rate,
+  PoissonProcess(Simulator& simulator, common::Rng& rng, double rate,
                  Callback callback)
       : sim_{&simulator},
         rng_{&rng},
@@ -83,7 +83,7 @@ class PoissonProcess {
   }
 
   Simulator* sim_;
-  Rng* rng_;
+  common::Rng* rng_;
   double rate_;
   Callback callback_;
   bool running_ = false;

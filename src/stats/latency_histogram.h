@@ -9,10 +9,8 @@
 /// orders of magnitude (a loopback pull RTT is microseconds of virtual
 /// time; a WAN pull is tens of milliseconds).
 ///
-/// Contrast with stats::Histogram (fixed-width bins over a closed
-/// range): that one needs the range known up front and wastes bins on
-/// empty regions; this one needs no configuration and never saturates.
-/// record() is branch-light integer math — one bit-scan, one add —
+/// Unlike fixed-width bins over a closed range, it needs no range known
+/// up front and never saturates. record() is branch-light integer math — one bit-scan, one add —
 /// cheap enough to sit on a live node's pull path unconditionally.
 ///
 /// Values are dimensionless uint64 ticks; the seconds-based helpers

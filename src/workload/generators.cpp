@@ -11,7 +11,7 @@ namespace {
 /// Clamped AR(1) step toward `target` with relaxation `alpha` and additive
 /// noise of scale `noise`.
 double ar1(double x, double target, double alpha, double noise, double lo,
-           double hi, sim::Rng& rng) {
+           double hi, common::Rng& rng) {
   const double eps = (rng.uniform() - 0.5) * 2.0 * noise;
   return std::clamp(x + alpha * (target - x) + eps, lo, hi);
 }
@@ -22,7 +22,7 @@ MeasurementModel::MeasurementModel(std::uint32_t peer, std::uint16_t channel,
                                    bool degrading)
     : peer_{peer}, channel_{channel}, degrading_{degrading} {}
 
-StatsRecord MeasurementModel::sample(double now, sim::Rng& rng) {
+StatsRecord MeasurementModel::sample(double now, common::Rng& rng) {
   if (degrading_) {
     // Quality collapse: buffer drains, loss climbs, partners drop off.
     buffer_level_ = ar1(buffer_level_, 0.0, 0.25, 0.5, 0.0, 30.0, rng);
@@ -70,7 +70,7 @@ double DiurnalProfile::rate(double t) const {
 }
 
 double next_arrival(const ArrivalProfile& profile, double now,
-                    sim::Rng& rng) {
+                    common::Rng& rng) {
   const double cap = profile.max_rate();
   ICOLLECT_EXPECTS(cap > 0.0);
   double t = now;

@@ -17,7 +17,7 @@
 #include <memory>
 
 #include "common/assert.h"
-#include "sim/random.h"
+#include "common/rng.h"
 #include "workload/stats_record.h"
 
 namespace icollect::workload {
@@ -30,7 +30,7 @@ class MeasurementModel {
                             bool degrading = false);
 
   /// Advance internal state to `now` and emit a record.
-  [[nodiscard]] StatsRecord sample(double now, sim::Rng& rng);
+  [[nodiscard]] StatsRecord sample(double now, common::Rng& rng);
 
   /// Switch the peer into the degrading regime (e.g. when its simulated
   /// lifetime is about to expire).
@@ -141,6 +141,6 @@ class ScaledProfile final : public ArrivalProfile {
 /// Sample the next event time of a nonhomogeneous Poisson process with
 /// rate profile `profile`, starting from `now`, by Lewis-Shedler thinning.
 [[nodiscard]] double next_arrival(const ArrivalProfile& profile, double now,
-                                  sim::Rng& rng);
+                                  common::Rng& rng);
 
 }  // namespace icollect::workload

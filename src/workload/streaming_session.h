@@ -27,8 +27,8 @@
 #include <vector>
 
 #include "common/assert.h"
+#include "common/rng.h"
 #include "sim/poisson_process.h"
-#include "sim/random.h"
 #include "sim/simulator.h"
 #include "stats/summary.h"
 #include "workload/stats_record.h"
@@ -119,7 +119,7 @@ class StreamingSession {
 
   StreamingConfig cfg_;
   sim::Simulator sim_;
-  sim::Rng rng_;
+  common::Rng rng_;
   std::vector<PeerState> peers_;
   std::vector<std::unique_ptr<sim::PoissonProcess>> requesters_;
   std::uint64_t source_edge_ = 0;  ///< chunks emitted so far

@@ -28,7 +28,7 @@ ChurnConfig pareto(double mean, double shape) {
 }
 
 TEST(ChurnModel, ExponentialMeanMatches) {
-  sim::Rng rng{301};
+  common::Rng rng{301};
   const auto cfg = expo(3.0);
   double sum = 0.0;
   constexpr int kN = 40000;
@@ -37,7 +37,7 @@ TEST(ChurnModel, ExponentialMeanMatches) {
 }
 
 TEST(ChurnModel, ParetoMeanMatches) {
-  sim::Rng rng{302};
+  common::Rng rng{302};
   const auto cfg = pareto(3.0, 3.0);  // finite variance at alpha=3
   double sum = 0.0;
   constexpr int kN = 60000;
@@ -46,7 +46,7 @@ TEST(ChurnModel, ParetoMeanMatches) {
 }
 
 TEST(ChurnModel, ParetoRespectsMinimum) {
-  sim::Rng rng{303};
+  common::Rng rng{303};
   const auto cfg = pareto(3.0, 2.0);
   const double x_m = 3.0 * (2.0 - 1.0) / 2.0;  // 1.5
   for (int i = 0; i < 5000; ++i) {
@@ -55,7 +55,7 @@ TEST(ChurnModel, ParetoRespectsMinimum) {
 }
 
 TEST(ChurnModel, ParetoIsHeavierTailedThanExponential) {
-  sim::Rng rng{304};
+  common::Rng rng{304};
   const auto e = expo(3.0);
   const auto p = pareto(3.0, 2.0);
   std::vector<double> es, ps;
@@ -79,7 +79,7 @@ TEST(ChurnModel, ParetoIsHeavierTailedThanExponential) {
 }
 
 TEST(ChurnModel, ContractsOnMisuse) {
-  sim::Rng rng{305};
+  common::Rng rng{305};
   ChurnConfig off;
   EXPECT_THROW((void)sample_lifetime(off, rng), ContractViolation);
   auto bad = pareto(1.0, 0.9);  // infinite-mean shape

@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "coding/coded_block.h"
-#include "sim/random.h"
+#include "common/rng.h"
 
 namespace icollect::coding {
 namespace {
@@ -95,7 +95,7 @@ TEST(WireFormat, ZeroSegmentSizeRejected) {
 }
 
 TEST(WireFormat, RandomizedRoundTrips) {
-  sim::Rng rng{99};
+  common::Rng rng{99};
   for (int t = 0; t < 50; ++t) {
     CodedBlock b;
     b.segment = SegmentId{static_cast<OriginId>(rng.uniform_index(1 << 20)),

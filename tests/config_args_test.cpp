@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/config_args.h"
 
@@ -83,6 +86,43 @@ TEST(ConfigArgs, MalformedTokensRejected) {
         << bad;
   }
   (void)cfg;
+}
+
+// pull= and icollect_sim's --pull-policy share p2p::parse_pull_policy,
+// so this table pins the names both accept.
+TEST(ConfigArgs, PullPolicyAcceptsEveryAlias) {
+  const std::pair<const char*, p2p::PullPolicy> aliases[] = {
+      {"uniform", p2p::PullPolicy::kUniformNonEmpty},
+      {"non-empty", p2p::PullPolicy::kUniformNonEmpty},
+      {"all", p2p::PullPolicy::kUniformAll},
+      {"rarest", p2p::PullPolicy::kRarestFirst},
+      {"rarest-first", p2p::PullPolicy::kRarestFirst},
+      {"deficit", p2p::PullPolicy::kDeficitWeighted},
+      {"deficit-weighted", p2p::PullPolicy::kDeficitWeighted},
+  };
+  for (const auto& [name, policy] : aliases) {
+    EXPECT_EQ(p2p::parse_pull_policy(name), policy) << name;
+    p2p::ProtocolConfig cfg;
+    // Start from a different policy so a no-op parse cannot pass.
+    cfg.pull_policy = policy == p2p::PullPolicy::kUniformAll
+                          ? p2p::PullPolicy::kRarestFirst
+                          : p2p::PullPolicy::kUniformAll;
+    const std::string token = std::string{"pull="} + name;
+    const auto a = args({token.c_str()});
+    apply_config_args(cfg, a);
+    EXPECT_EQ(cfg.pull_policy, policy) << name;
+  }
+
+  EXPECT_EQ(p2p::parse_pull_policy("random"), std::nullopt);
+  p2p::ProtocolConfig cfg;
+  const auto a = args({"pull=random"});
+  try {
+    apply_config_args(cfg, a);
+    FAIL() << "unknown pull policy accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("random"), std::string::npos)
+        << e.what();
+  }
 }
 
 // A rejected invocation must tell the operator *what* was wrong, not

@@ -11,14 +11,14 @@
 #include "coding/decoder.h"
 #include "coding/encoder.h"
 #include "coding/segment_buffer.h"
-#include "sim/random.h"
+#include "common/rng.h"
 
 namespace icollect::coding {
 namespace {
 
 std::vector<std::vector<std::uint8_t>> random_originals(std::size_t s,
                                                         std::size_t bytes,
-                                                        sim::Rng& rng) {
+                                                        common::Rng& rng) {
   std::vector<std::vector<std::uint8_t>> blocks(s);
   for (auto& b : blocks) {
     b.resize(bytes);
@@ -31,7 +31,7 @@ class CodecRoundTripTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(CodecRoundTripTest, RandomCodedBlocksDecode) {
   const std::size_t s = GetParam();
-  sim::Rng rng{1000 + s};
+  common::Rng rng{1000 + s};
   const SegmentId id{3, 7};
   const auto originals = random_originals(s, 32, rng);
   const SegmentEncoder enc{id, originals};
@@ -55,7 +55,7 @@ TEST_P(CodecRoundTripTest, RandomCodedBlocksDecode) {
 
 TEST_P(CodecRoundTripTest, SystematicBlocksDecodeExactlyAtRankS) {
   const std::size_t s = GetParam();
-  sim::Rng rng{2000 + s};
+  common::Rng rng{2000 + s};
   const SegmentId id{1, 1};
   const auto originals = random_originals(s, 16, rng);
   const SegmentEncoder enc{id, originals};
@@ -73,7 +73,7 @@ TEST_P(CodecRoundTripTest, RecodedChainStillDecodes) {
   // source -> buffer A -> recode -> buffer B -> recode -> server: the
   // paper's "coding operation is not limited to the source".
   const std::size_t s = GetParam();
-  sim::Rng rng{3000 + s};
+  common::Rng rng{3000 + s};
   const SegmentId id{9, 4};
   const auto originals = random_originals(s, 24, rng);
   const SegmentEncoder enc{id, originals};
@@ -106,7 +106,7 @@ TEST(SegmentEncoderTest, RejectsEmptyAndRagged) {
 }
 
 TEST(SegmentEncoderTest, EncodedBlockNeverDegenerate) {
-  sim::Rng rng{5};
+  common::Rng rng{5};
   const SegmentEncoder enc{SegmentId{2, 2}, random_originals(4, 8, rng)};
   for (int t = 0; t < 200; ++t) {
     EXPECT_FALSE(enc.encode(rng).is_degenerate());
@@ -114,7 +114,7 @@ TEST(SegmentEncoderTest, EncodedBlockNeverDegenerate) {
 }
 
 TEST(SegmentEncoderTest, EncodedPayloadIsTheStatedCombination) {
-  sim::Rng rng{6};
+  common::Rng rng{6};
   const auto originals = random_originals(3, 10, rng);
   const SegmentEncoder enc{SegmentId{1, 0}, originals};
   const CodedBlock b = enc.encode(rng);
@@ -126,7 +126,7 @@ TEST(SegmentEncoderTest, EncodedPayloadIsTheStatedCombination) {
 }
 
 TEST(DecoderTest, DuplicateBlockIsRedundant) {
-  sim::Rng rng{7};
+  common::Rng rng{7};
   const auto originals = random_originals(4, 8, rng);
   const SegmentEncoder enc{SegmentId{1, 0}, originals};
   Decoder dec{SegmentId{1, 0}, 4, 8};
@@ -138,7 +138,7 @@ TEST(DecoderTest, DuplicateBlockIsRedundant) {
 }
 
 TEST(DecoderTest, LinearCombinationOfKnownRowsIsRedundant) {
-  sim::Rng rng{8};
+  common::Rng rng{8};
   const auto originals = random_originals(5, 8, rng);
   const SegmentEncoder enc{SegmentId{1, 0}, originals};
   Decoder dec{SegmentId{1, 0}, 5, 8};
@@ -160,7 +160,7 @@ TEST(DecoderTest, LinearCombinationOfKnownRowsIsRedundant) {
 }
 
 TEST(DecoderTest, IsInnovativeDoesNotMutate) {
-  sim::Rng rng{9};
+  common::Rng rng{9};
   const auto originals = random_originals(4, 4, rng);
   const SegmentEncoder enc{SegmentId{1, 0}, originals};
   Decoder dec{SegmentId{1, 0}, 4, 4};
@@ -192,7 +192,7 @@ TEST(DecoderTest, OriginalBeforeCompleteViolatesContract) {
 }
 
 TEST(DecoderTest, AfterCompleteEverythingIsRedundant) {
-  sim::Rng rng{10};
+  common::Rng rng{10};
   const auto originals = random_originals(3, 4, rng);
   const SegmentEncoder enc{SegmentId{1, 0}, originals};
   Decoder dec{SegmentId{1, 0}, 3, 4};
@@ -204,7 +204,7 @@ TEST(DecoderTest, AfterCompleteEverythingIsRedundant) {
 }
 
 TEST(DecoderTest, ZeroPayloadSizeTracksCoefficientsOnly) {
-  sim::Rng rng{11};
+  common::Rng rng{11};
   Decoder dec{SegmentId{4, 4}, 3, 0};
   CodedBlock b;
   b.segment = SegmentId{4, 4};

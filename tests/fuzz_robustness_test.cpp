@@ -7,14 +7,14 @@
 #include <stdexcept>
 
 #include "coding/coded_block.h"
-#include "sim/random.h"
+#include "common/rng.h"
 #include "workload/stats_record.h"
 
 namespace icollect {
 namespace {
 
 TEST(WireFuzz, RandomBytesNeverCrash) {
-  sim::Rng rng{9001};
+  common::Rng rng{9001};
   int parsed = 0;
   for (int trial = 0; trial < 3000; ++trial) {
     std::vector<std::uint8_t> bytes(rng.uniform_index(200));
@@ -34,7 +34,7 @@ TEST(WireFuzz, RandomBytesNeverCrash) {
 }
 
 TEST(WireFuzz, TruncationsOfValidBlockAllRejected) {
-  sim::Rng rng{9002};
+  common::Rng rng{9002};
   coding::CodedBlock b;
   b.segment = {12, 34};
   b.coefficients.resize(16);
@@ -51,7 +51,7 @@ TEST(WireFuzz, TruncationsOfValidBlockAllRejected) {
 }
 
 TEST(WireFuzz, SingleBitFlipsEitherRejectOrChangeOneField) {
-  sim::Rng rng{9003};
+  common::Rng rng{9003};
   coding::CodedBlock b;
   b.segment = {5, 6};
   b.coefficients = {1, 2, 3, 4};
@@ -73,7 +73,7 @@ TEST(WireFuzz, SingleBitFlipsEitherRejectOrChangeOneField) {
 }
 
 TEST(RecordFuzz, RandomBytesNeverParseAsRecords) {
-  sim::Rng rng{9004};
+  common::Rng rng{9004};
   for (int trial = 0; trial < 2000; ++trial) {
     std::vector<std::uint8_t> bytes(workload::StatsRecord::kSerializedSize);
     for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.gf_element());
@@ -83,7 +83,7 @@ TEST(RecordFuzz, RandomBytesNeverParseAsRecords) {
 }
 
 TEST(RecordFuzz, PackerRejectsCorruptedSegmentBodies) {
-  sim::Rng rng{9005};
+  common::Rng rng{9005};
   const workload::RecordPacker packer{4, 64};
   std::vector<workload::StatsRecord> records;
   for (std::size_t i = 0; i < packer.capacity(); ++i) {

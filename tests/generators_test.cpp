@@ -2,14 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/random.h"
+#include "common/rng.h"
 #include "workload/generators.h"
 
 namespace icollect::workload {
 namespace {
 
 TEST(MeasurementModel, HealthyRangesAreSane) {
-  sim::Rng rng{61};
+  common::Rng rng{61};
   MeasurementModel m{7, 2};
   for (int i = 0; i < 500; ++i) {
     const StatsRecord r = m.sample(i * 0.1, rng);
@@ -27,7 +27,7 @@ TEST(MeasurementModel, HealthyRangesAreSane) {
 }
 
 TEST(MeasurementModel, HealthyPeerStaysHealthyOnAverage) {
-  sim::Rng rng{62};
+  common::Rng rng{62};
   MeasurementModel m{1};
   double continuity = 0.0;
   constexpr int kN = 400;
@@ -38,7 +38,7 @@ TEST(MeasurementModel, HealthyPeerStaysHealthyOnAverage) {
 }
 
 TEST(MeasurementModel, DegradingPeerCollapses) {
-  sim::Rng rng{63};
+  common::Rng rng{63};
   MeasurementModel m{1, 0, /*degrading=*/true};
   EXPECT_TRUE(m.degrading());
   StatsRecord last;
@@ -49,7 +49,7 @@ TEST(MeasurementModel, DegradingPeerCollapses) {
 }
 
 TEST(MeasurementModel, SwitchingRegimes) {
-  sim::Rng rng{64};
+  common::Rng rng{64};
   MeasurementModel m{1};
   for (int i = 0; i < 100; ++i) (void)m.sample(i * 0.1, rng);
   m.set_degrading(true);
@@ -97,7 +97,7 @@ TEST(DiurnalProfile, OscillatesWithinBounds) {
 }
 
 TEST(NextArrival, ConstantProfileMatchesExponential) {
-  sim::Rng rng{65};
+  common::Rng rng{65};
   const ConstantProfile p{5.0};
   double t = 0.0;
   constexpr int kN = 20000;
@@ -111,7 +111,7 @@ TEST(NextArrival, ConstantProfileMatchesExponential) {
 }
 
 TEST(NextArrival, ThinningTracksBurst) {
-  sim::Rng rng{66};
+  common::Rng rng{66};
   const FlashCrowdProfile p{1.0, 20.0, 10.0, 11.0};
   // Count arrivals in [0,10) (rate 1) vs [10,11) (rate 20).
   int before = 0;

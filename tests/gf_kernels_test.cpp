@@ -15,9 +15,9 @@
 #include "coding/decoder.h"
 #include "coding/encoder.h"
 #include "coding/segment_buffer.h"
+#include "common/rng.h"
 #include "gf/gf256.h"
 #include "gf/kernels.h"
-#include "sim/random.h"
 
 // --- global allocation counter (for the zero-allocation tests) ----------
 //
@@ -132,7 +132,7 @@ TEST(GfKernels, SelectByNameRoundTrip) {
 }
 
 TEST(GfKernels, AddScaledMatchesOracleEverywhere) {
-  sim::Rng rng{11};
+  common::Rng rng{11};
   for (const auto kind : supported_kinds()) {
     const gf::KernelTable& t = table_for(kind);
     for (const std::size_t n : kLengths) {
@@ -156,7 +156,7 @@ TEST(GfKernels, AddScaledMatchesOracleEverywhere) {
 }
 
 TEST(GfKernels, ScaleAssignMatchesOracleEverywhere) {
-  sim::Rng rng{12};
+  common::Rng rng{12};
   for (const auto kind : supported_kinds()) {
     const gf::KernelTable& t = table_for(kind);
     for (const std::size_t n : kLengths) {
@@ -181,7 +181,7 @@ TEST(GfKernels, ScaleAssignMatchesOracleEverywhere) {
 }
 
 TEST(GfKernels, AddAssignMatchesOracleEverywhere) {
-  sim::Rng rng{13};
+  common::Rng rng{13};
   for (const auto kind : supported_kinds()) {
     const gf::KernelTable& t = table_for(kind);
     for (const std::size_t n : kLengths) {
@@ -203,7 +203,7 @@ TEST(GfKernels, AddAssignMatchesOracleEverywhere) {
 }
 
 TEST(GfKernels, DotMatchesOracleEverywhere) {
-  sim::Rng rng{14};
+  common::Rng rng{14};
   for (const auto kind : supported_kinds()) {
     const gf::KernelTable& t = table_for(kind);
     for (const std::size_t n : kLengths) {
@@ -226,7 +226,7 @@ TEST(GfKernels, DotMatchesOracleEverywhere) {
 TEST(GfKernels, KernelsAgreePairwiseOnRandomStreams) {
   // Cross-kernel agreement on longer random streams: the property the
   // simulation's determinism guarantee rests on.
-  sim::Rng rng{15};
+  common::Rng rng{15};
   const auto kinds = supported_kinds();
   for (int round = 0; round < 16; ++round) {
     const std::size_t n = 1 + rng.uniform_index(2048);
@@ -256,7 +256,7 @@ TEST(GfKernels, KernelsAgreePairwiseOnRandomStreams) {
 TEST(GfKernels, DecoderAddIsAllocationFreeInSteadyState) {
   constexpr std::size_t s = 16;
   constexpr std::size_t payload = 256;
-  sim::Rng rng{21};
+  common::Rng rng{21};
   std::vector<std::vector<std::uint8_t>> originals(s);
   for (auto& blk : originals) {
     blk.resize(payload);
@@ -288,7 +288,7 @@ TEST(GfKernels, DecoderAddIsAllocationFreeInSteadyState) {
 TEST(GfKernels, RecodeIntoIsAllocationFreeOnceWarm) {
   constexpr std::size_t s = 8;
   constexpr std::size_t payload = 128;
-  sim::Rng rng{22};
+  common::Rng rng{22};
   std::vector<std::vector<std::uint8_t>> originals(s);
   for (auto& blk : originals) {
     blk.resize(payload);

@@ -4,14 +4,14 @@
 
 #include <vector>
 
+#include "common/rng.h"
 #include "gf/gf256.h"
 #include "gf/gf_vector.h"
-#include "sim/random.h"
 
 namespace icollect::gf {
 namespace {
 
-std::vector<Element> random_vec(std::size_t n, sim::Rng& rng) {
+std::vector<Element> random_vec(std::size_t n, common::Rng& rng) {
   std::vector<Element> v(n);
   rng.fill_gf(v);
   return v;
@@ -25,7 +25,7 @@ TEST(GfVector, AddAssignIsElementwiseXor) {
 }
 
 TEST(GfVector, AddAssignSelfInverse) {
-  sim::Rng rng{7};
+  common::Rng rng{7};
   auto a = random_vec(64, rng);
   const auto b = random_vec(64, rng);
   const auto a0 = a;
@@ -40,7 +40,7 @@ TEST(GfVector, AddAssignSizeMismatchViolatesContract) {
 }
 
 TEST(GfVector, ScaleByOneIsNoop) {
-  sim::Rng rng{8};
+  common::Rng rng{8};
   auto a = random_vec(33, rng);
   const auto a0 = a;
   scale_assign(a, 1);
@@ -48,14 +48,14 @@ TEST(GfVector, ScaleByOneIsNoop) {
 }
 
 TEST(GfVector, ScaleByZeroZeroes) {
-  sim::Rng rng{9};
+  common::Rng rng{9};
   auto a = random_vec(33, rng);
   scale_assign(a, 0);
   EXPECT_TRUE(is_zero(a));
 }
 
 TEST(GfVector, ScaleMatchesScalarMul) {
-  sim::Rng rng{10};
+  common::Rng rng{10};
   auto a = random_vec(50, rng);
   const auto a0 = a;
   const Element c = 0xB7;
@@ -66,7 +66,7 @@ TEST(GfVector, ScaleMatchesScalarMul) {
 }
 
 TEST(GfVector, ScaleThenInverseScaleRestores) {
-  sim::Rng rng{11};
+  common::Rng rng{11};
   auto a = random_vec(40, rng);
   const auto a0 = a;
   const Element c = 0x53;
@@ -76,7 +76,7 @@ TEST(GfVector, ScaleThenInverseScaleRestores) {
 }
 
 TEST(GfVector, AddScaledMatchesManual) {
-  sim::Rng rng{12};
+  common::Rng rng{12};
   auto dst = random_vec(64, rng);
   const auto dst0 = dst;
   const auto src = random_vec(64, rng);
@@ -88,7 +88,7 @@ TEST(GfVector, AddScaledMatchesManual) {
 }
 
 TEST(GfVector, AddScaledZeroCoefficientIsNoop) {
-  sim::Rng rng{13};
+  common::Rng rng{13};
   auto dst = random_vec(16, rng);
   const auto dst0 = dst;
   add_scaled(dst, random_vec(16, rng), 0);
@@ -96,7 +96,7 @@ TEST(GfVector, AddScaledZeroCoefficientIsNoop) {
 }
 
 TEST(GfVector, AddScaledOneEqualsAddAssign) {
-  sim::Rng rng{14};
+  common::Rng rng{14};
   auto dst1 = random_vec(16, rng);
   auto dst2 = dst1;
   const auto src = random_vec(16, rng);
@@ -106,7 +106,7 @@ TEST(GfVector, AddScaledOneEqualsAddAssign) {
 }
 
 TEST(GfVector, DotIsSymmetricAndBilinear) {
-  sim::Rng rng{15};
+  common::Rng rng{15};
   const auto a = random_vec(20, rng);
   const auto b = random_vec(20, rng);
   EXPECT_EQ(dot(a, b), dot(b, a));

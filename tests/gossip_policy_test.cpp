@@ -12,7 +12,7 @@ namespace {
 using proto::PeerBuffer;
 
 coding::CodedBlock block_of(coding::SegmentId id, std::size_t s,
-                            sim::Rng& rng) {
+                            common::Rng& rng) {
   coding::CodedBlock b;
   b.segment = id;
   b.coefficients.resize(s);
@@ -23,7 +23,7 @@ coding::CodedBlock block_of(coding::SegmentId id, std::size_t s,
 }
 
 TEST(GossipSelection, NewestTracksFirstArrivalOrder) {
-  sim::Rng rng{61};
+  common::Rng rng{61};
   PeerBuffer pb{20};
   pb.insert(1, block_of({1, 0}, 2, rng));
   pb.insert(2, block_of({2, 0}, 2, rng));
@@ -36,7 +36,7 @@ TEST(GossipSelection, NewestTracksFirstArrivalOrder) {
 }
 
 TEST(GossipSelection, NewestRecomputedAfterEviction) {
-  sim::Rng rng{62};
+  common::Rng rng{62};
   PeerBuffer pb{20};
   pb.insert(1, block_of({1, 0}, 2, rng));
   pb.insert(2, block_of({2, 0}, 2, rng));
@@ -45,7 +45,7 @@ TEST(GossipSelection, NewestRecomputedAfterEviction) {
 }
 
 TEST(GossipSelection, ReinsertionRefreshesArrival) {
-  sim::Rng rng{63};
+  common::Rng rng{63};
   PeerBuffer pb{20};
   pb.insert(1, block_of({1, 0}, 2, rng));
   pb.insert(2, block_of({2, 0}, 2, rng));
@@ -55,7 +55,7 @@ TEST(GossipSelection, ReinsertionRefreshesArrival) {
 }
 
 TEST(GossipSelection, RarestPicksFewestBlocks) {
-  sim::Rng rng{64};
+  common::Rng rng{64};
   PeerBuffer pb{20};
   pb.insert(1, block_of({1, 0}, 4, rng));
   pb.insert(2, block_of({1, 0}, 4, rng));
@@ -70,7 +70,7 @@ TEST(GossipSelection, RarestPicksFewestBlocks) {
 }
 
 TEST(GossipSelection, RarestTieBrokenByRecency) {
-  sim::Rng rng{65};
+  common::Rng rng{65};
   PeerBuffer pb{20};
   pb.insert(1, block_of({1, 0}, 4, rng));
   pb.insert(2, block_of({2, 0}, 4, rng));  // both have one block

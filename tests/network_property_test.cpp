@@ -13,7 +13,7 @@
 namespace icollect::p2p {
 namespace {
 
-ProtocolConfig random_config(sim::Rng& rng) {
+ProtocolConfig random_config(common::Rng& rng) {
   ProtocolConfig cfg;
   cfg.num_peers = 20 + rng.uniform_index(80);
   cfg.lambda = rng.uniform(0.5, 25.0);
@@ -47,7 +47,7 @@ ProtocolConfig random_config(sim::Rng& rng) {
 class NetworkPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(NetworkPropertyTest, InvariantsHoldOnRandomConfigs) {
-  sim::Rng meta{GetParam()};
+  common::Rng meta{GetParam()};
   ProtocolConfig cfg = random_config(meta);
   cfg.seed = GetParam() * 7919 + 1;
   SCOPED_TRACE("N=" + std::to_string(cfg.num_peers) +

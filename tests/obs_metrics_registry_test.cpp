@@ -1,6 +1,6 @@
 /// \file obs_metrics_registry_test.cpp
 /// Registry semantics: find-or-create stability, kind-mismatch errors,
-/// pull-based gauges, histogram and latency column expansion, export
+/// pull-based gauges, latency column expansion, export
 /// ordering, and whole-registry reset() for test isolation.
 
 #include "obs/metrics_registry.h"
@@ -56,7 +56,6 @@ TEST(MetricsRegistry, KindMismatchThrows) {
   MetricsRegistry reg;
   reg.counter("x");
   EXPECT_THROW(reg.gauge("x"), std::invalid_argument);
-  EXPECT_THROW(reg.histogram("x", 0.0, 1.0, 4), std::invalid_argument);
   EXPECT_THROW(reg.latency("x"), std::invalid_argument);
   reg.gauge("g");
   EXPECT_THROW(reg.counter("g"), std::invalid_argument);
@@ -73,7 +72,6 @@ TEST(MetricsRegistry, DuplicateRegistrationContract) {
   EXPECT_EQ(reg.size(), 1U);
   EXPECT_THROW(reg.counter("rtt"), std::invalid_argument);
   EXPECT_THROW(reg.gauge("rtt"), std::invalid_argument);
-  EXPECT_THROW(reg.histogram("rtt", 0.0, 1.0, 4), std::invalid_argument);
   EXPECT_EQ(reg.size(), 1U);
   EXPECT_EQ(reg.latency("rtt").count(), 1U);
 }
@@ -101,25 +99,6 @@ TEST(MetricsRegistry, ExportOrderIsRegistrationOrder) {
   EXPECT_EQ(names[0], "zulu");
   EXPECT_EQ(names[1], "alpha");
   EXPECT_EQ(names[2], "mike");
-}
-
-TEST(MetricsRegistry, HistogramExpandsToQuantileColumns) {
-  MetricsRegistry reg;
-  auto& h = reg.histogram("delay", 0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i % 10));
-
-  const auto names = reg.sample_names();
-  ASSERT_EQ(names.size(), 4U);
-  EXPECT_EQ(names[0], "delay.count");
-  EXPECT_EQ(names[1], "delay.p50");
-  EXPECT_EQ(names[2], "delay.p90");
-  EXPECT_EQ(names[3], "delay.p99");
-
-  double count = -1.0;
-  reg.for_each_sample([&](std::string_view name, double v) {
-    if (name == "delay.count") count = v;
-  });
-  EXPECT_DOUBLE_EQ(count, 100.0);
 }
 
 TEST(MetricsRegistry, LatencyExpandsToQuantileAndMaxColumns) {
@@ -156,8 +135,6 @@ TEST(MetricsRegistry, ResetZeroesValuesKeepsStructure) {
   pushed.set(3.5);
   double source = 11.0;
   reg.gauge("pulled", [&source] { return source; });
-  auto& h = reg.histogram("h", 0.0, 10.0, 5);
-  h.add(4.0);
   auto& lat = reg.latency("lat");
   lat.record(1000);
   const auto names_before = reg.sample_names();
@@ -168,11 +145,11 @@ TEST(MetricsRegistry, ResetZeroesValuesKeepsStructure) {
   EXPECT_EQ(c.value(), 0U);
   EXPECT_DOUBLE_EQ(pushed.value(), 0.0);
   EXPECT_EQ(lat.count(), 0U);
-  double hist_count = -1.0;
+  double lat_count = -1.0;
   reg.for_each_sample([&](std::string_view name, double v) {
-    if (name == "h.count") hist_count = v;
+    if (name == "lat.count") lat_count = v;
   });
-  EXPECT_DOUBLE_EQ(hist_count, 0.0);
+  EXPECT_DOUBLE_EQ(lat_count, 0.0);
   // ...but registrations, references, export order, and gauge providers
   // all survive: the same handles keep working.
   EXPECT_EQ(reg.sample_names(), names_before);

@@ -5,9 +5,9 @@
 #include <cmath>
 #include <vector>
 
-#include "sim/random.h"
+#include "common/rng.h"
 
-namespace icollect::sim {
+namespace icollect::common {
 namespace {
 
 TEST(Rng, SameSeedSameSequence) {
@@ -169,4 +169,4 @@ TEST(Rng, ForkProducesIndependentStream) {
 }
 
 }  // namespace
-}  // namespace icollect::sim
+}  // namespace icollect::common

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/report.h"
@@ -116,6 +117,55 @@ TEST(AggregateReport, JsonCarriesEveryMetric) {
   for (const char* field : {"mean", "stddev", "ci95", "min", "max"}) {
     EXPECT_NE(json.find(field), std::string::npos);
   }
+}
+
+// --- MetricTable (the bench-table generators' replica table) ---------------
+
+TEST(MetricTable, RowsKeepInsertionOrder) {
+  MetricTable table;
+  for (const double v : {1.0, 3.0}) {
+    table.add("zulu", v);
+    table.add("alpha", 10.0 * v);
+    table.add("mike", -v);
+  }
+  table.add("alpha", 20.0);
+  const std::string json = table.to_json();
+  const auto zulu = json.find("\"zulu\":");
+  const auto alpha = json.find("\"alpha\":");
+  const auto mike = json.find("\"mike\":");
+  ASSERT_NE(zulu, std::string::npos);
+  ASSERT_NE(alpha, std::string::npos);
+  ASSERT_NE(mike, std::string::npos);
+  EXPECT_EQ(zulu, 1u);  // first key right after the opening brace
+  EXPECT_LT(zulu, alpha);
+  EXPECT_LT(alpha, mike);
+
+  ASSERT_NE(table.find("alpha"), nullptr);
+  EXPECT_EQ(table.find("alpha")->count(), 3u);
+  EXPECT_DOUBLE_EQ(table.find("alpha")->mean(), 20.0);
+  EXPECT_EQ(table.find("missing"), nullptr);
+}
+
+TEST(MetricTable, MetricJsonMatchesAggregateReport) {
+  AggregateReport agg;
+  MetricTable table;
+  for (const double v : {1.5, 2.5, 4.0}) {
+    agg.add(report_with(v, 12));
+    table.add("throughput", v);
+  }
+  // The "throughput" object inside AggregateReport::to_json(); the key
+  // is quoted, so "normalized_throughput" does not match.
+  const std::string agg_json = agg.to_json();
+  const std::string key = "\"throughput\":";
+  const auto start = agg_json.find(key);
+  ASSERT_NE(start, std::string::npos);
+  const auto obj = start + key.size();
+  const auto end = agg_json.find('}', obj);
+  ASSERT_NE(end, std::string::npos);
+  const std::string from_agg = agg_json.substr(obj, end + 1 - obj);
+
+  EXPECT_EQ(table.to_json(), "{" + key + from_agg + "}");
+  EXPECT_EQ(from_agg, summary_json(*table.find("throughput")));
 }
 
 // --- Empirical CI coverage ---------------------------------------------------

@@ -7,14 +7,14 @@
 #include "coding/decoder.h"
 #include "coding/encoder.h"
 #include "coding/segment_buffer.h"
-#include "sim/random.h"
+#include "common/rng.h"
 
 namespace icollect::coding {
 namespace {
 
 std::vector<std::vector<std::uint8_t>> originals(std::size_t s,
                                                  std::size_t bytes,
-                                                 sim::Rng& rng) {
+                                                 common::Rng& rng) {
   std::vector<std::vector<std::uint8_t>> v(s);
   for (auto& b : v) {
     b.resize(bytes);
@@ -32,7 +32,7 @@ TEST(SegmentBuffer, StartsEmpty) {
 }
 
 TEST(SegmentBuffer, RankGrowsWithIndependentBlocks) {
-  sim::Rng rng{41};
+  common::Rng rng{41};
   const SegmentId id{1, 2};
   const SegmentEncoder enc{id, originals(4, 8, rng)};
   SegmentBuffer sb{id, 4};
@@ -44,7 +44,7 @@ TEST(SegmentBuffer, RankGrowsWithIndependentBlocks) {
 }
 
 TEST(SegmentBuffer, DuplicateBlocksCountButDoNotRaiseRank) {
-  sim::Rng rng{42};
+  common::Rng rng{42};
   const SegmentId id{1, 2};
   const SegmentEncoder enc{id, originals(4, 8, rng)};
   SegmentBuffer sb{id, 4};
@@ -56,7 +56,7 @@ TEST(SegmentBuffer, DuplicateBlocksCountButDoNotRaiseRank) {
 }
 
 TEST(SegmentBuffer, RemoveRecomputesRank) {
-  sim::Rng rng{43};
+  common::Rng rng{43};
   const SegmentId id{3, 3};
   const SegmentEncoder enc{id, originals(3, 8, rng)};
   SegmentBuffer sb{id, 3};
@@ -72,7 +72,7 @@ TEST(SegmentBuffer, RemoveRecomputesRank) {
 }
 
 TEST(SegmentBuffer, HandlesAreReported) {
-  sim::Rng rng{44};
+  common::Rng rng{44};
   const SegmentId id{5, 5};
   const SegmentEncoder enc{id, originals(2, 4, rng)};
   SegmentBuffer sb{id, 2};
@@ -84,7 +84,7 @@ TEST(SegmentBuffer, HandlesAreReported) {
 }
 
 TEST(SegmentBuffer, RecodeStaysInsideStoredSpan) {
-  sim::Rng rng{45};
+  common::Rng rng{45};
   const SegmentId id{6, 6};
   const SegmentEncoder enc{id, originals(5, 8, rng)};
   SegmentBuffer sb{id, 5};
@@ -101,7 +101,7 @@ TEST(SegmentBuffer, RecodeStaysInsideStoredSpan) {
 
 TEST(SegmentBuffer, RecodePreservesPayloadConsistency) {
   // Decoding from recoded blocks must recover the true originals.
-  sim::Rng rng{46};
+  common::Rng rng{46};
   const SegmentId id{7, 7};
   const auto orig = originals(4, 16, rng);
   const SegmentEncoder enc{id, orig};
@@ -115,7 +115,7 @@ TEST(SegmentBuffer, RecodePreservesPayloadConsistency) {
 }
 
 TEST(SegmentBuffer, RecodeNeverDegenerate) {
-  sim::Rng rng{47};
+  common::Rng rng{47};
   const SegmentId id{8, 8};
   const SegmentEncoder enc{id, originals(1, 2, rng)};
   SegmentBuffer sb{id, 1};
@@ -126,13 +126,13 @@ TEST(SegmentBuffer, RecodeNeverDegenerate) {
 }
 
 TEST(SegmentBuffer, RecodeOnEmptyViolatesContract) {
-  sim::Rng rng{48};
+  common::Rng rng{48};
   SegmentBuffer sb{SegmentId{9, 9}, 3};
   EXPECT_THROW((void)sb.recode(rng), ContractViolation);
 }
 
 TEST(SegmentBuffer, AddWrongSegmentViolatesContract) {
-  sim::Rng rng{49};
+  common::Rng rng{49};
   SegmentBuffer sb{SegmentId{1, 0}, 3};
   CodedBlock b;
   b.segment = SegmentId{1, 1};
@@ -141,7 +141,7 @@ TEST(SegmentBuffer, AddWrongSegmentViolatesContract) {
 }
 
 TEST(SegmentBuffer, IsInnovativeAgreesWithRankChange) {
-  sim::Rng rng{50};
+  common::Rng rng{50};
   const SegmentId id{2, 9};
   const SegmentEncoder enc{id, originals(6, 4, rng)};
   SegmentBuffer sb{id, 6};

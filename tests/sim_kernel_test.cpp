@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/event_queue.h"
 #include "sim/poisson_process.h"
 #include "sim/simulator.h"
@@ -134,7 +135,7 @@ TEST(Simulator, RunEventsBounded) {
 
 TEST(PoissonProcess, EmpiricalRateMatches) {
   Simulator sim;
-  Rng rng{77};
+  common::Rng rng{77};
   std::size_t fires = 0;
   PoissonProcess proc{sim, rng, 5.0, [&] { ++fires; }};
   proc.start();
@@ -145,7 +146,7 @@ TEST(PoissonProcess, EmpiricalRateMatches) {
 
 TEST(PoissonProcess, StopHalts) {
   Simulator sim;
-  Rng rng{78};
+  common::Rng rng{78};
   std::size_t fires = 0;
   PoissonProcess proc{sim, rng, 10.0, [&] { ++fires; }};
   proc.start();
@@ -159,7 +160,7 @@ TEST(PoissonProcess, StopHalts) {
 
 TEST(PoissonProcess, StartIsIdempotent) {
   Simulator sim;
-  Rng rng{79};
+  common::Rng rng{79};
   std::size_t fires = 0;
   PoissonProcess proc{sim, rng, 100.0, [&] { ++fires; }};
   proc.start();
@@ -170,7 +171,7 @@ TEST(PoissonProcess, StartIsIdempotent) {
 
 TEST(PoissonProcess, SetRateTakesEffect) {
   Simulator sim;
-  Rng rng{80};
+  common::Rng rng{80};
   std::size_t fires = 0;
   PoissonProcess proc{sim, rng, 1.0, [&] { ++fires; }};
   proc.start();
@@ -184,7 +185,7 @@ TEST(PoissonProcess, SetRateTakesEffect) {
 
 TEST(PoissonProcess, ZeroRateNeverFires) {
   Simulator sim;
-  Rng rng{81};
+  common::Rng rng{81};
   std::size_t fires = 0;
   PoissonProcess proc{sim, rng, 0.0, [&] { ++fires; }};
   proc.start();
@@ -195,7 +196,7 @@ TEST(PoissonProcess, ZeroRateNeverFires) {
 
 TEST(PoissonProcess, CallbackMayStopTheProcess) {
   Simulator sim;
-  Rng rng{82};
+  common::Rng rng{82};
   std::size_t fires = 0;
   PoissonProcess proc{sim, rng, 10.0, [&] {
                         if (++fires == 3) proc.stop();

@@ -1,11 +1,10 @@
-/// Tests for the measurement-plane primitives: Summary, Histogram,
-/// TimeWeighted, RateEstimator, Trajectory.
+/// Tests for the measurement-plane primitives: Summary, TimeWeighted,
+/// RateEstimator, Trajectory.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "stats/histogram.h"
 #include "stats/summary.h"
 #include "stats/time_series.h"
 
@@ -73,43 +72,6 @@ TEST(Summary, ResetClears) {
   s.add(5.0);
   s.reset();
   EXPECT_TRUE(s.empty());
-}
-
-TEST(Histogram, BinningAndEdges) {
-  Histogram h{0.0, 10.0, 10};
-  h.add(0.0);   // first bin (inclusive low edge)
-  h.add(9.99);  // last bin
-  h.add(5.0);   // bin 5
-  h.add(-1.0);  // underflow
-  h.add(10.0);  // overflow (hi is exclusive)
-  EXPECT_EQ(h.bin(0), 1u);
-  EXPECT_EQ(h.bin(9), 1u);
-  EXPECT_EQ(h.bin(5), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(Histogram, WeightsAndFractions) {
-  Histogram h{0.0, 4.0, 4};
-  h.add(0.5, 3);
-  h.add(2.5, 1);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.75);
-  EXPECT_DOUBLE_EQ(h.fraction(2), 0.25);
-}
-
-TEST(Histogram, QuantilesRoughlyCorrect) {
-  Histogram h{0.0, 100.0, 100};
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 2.0);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 2.0);
-  EXPECT_THROW((void)h.quantile(1.5), icollect::ContractViolation);
-}
-
-TEST(Histogram, InvalidConstructionViolatesContract) {
-  EXPECT_THROW((Histogram{1.0, 1.0, 4}), icollect::ContractViolation);
-  EXPECT_THROW((Histogram{0.0, 1.0, 0}), icollect::ContractViolation);
 }
 
 TEST(TimeWeighted, ConstantSignal) {

@@ -34,14 +34,14 @@ TEST(TopologyComplete, TooSmallViolatesContract) {
 
 TEST(TopologyComplete, RandomNeighborNeverSelf) {
   const Topology t = Topology::complete(4);
-  sim::Rng rng{31};
+  common::Rng rng{31};
   for (int i = 0; i < 500; ++i) {
     EXPECT_NE(t.random_neighbor(2, rng), 2u);
   }
 }
 
 TEST(TopologyErdosRenyi, MeanDegreeApproximatelyTarget) {
-  sim::Rng rng{32};
+  common::Rng rng{32};
   const Topology t = Topology::erdos_renyi(400, 20.0, rng);
   EXPECT_EQ(t.kind(), TopologyKind::kErdosRenyi);
   double total = 0.0;
@@ -53,7 +53,7 @@ TEST(TopologyErdosRenyi, MeanDegreeApproximatelyTarget) {
 }
 
 TEST(TopologyErdosRenyi, SymmetricAdjacency) {
-  sim::Rng rng{33};
+  common::Rng rng{33};
   const Topology t = Topology::erdos_renyi(60, 6.0, rng);
   for (std::size_t v = 0; v < t.size(); ++v) {
     for (std::size_t i = 0; i < t.degree(v); ++i) {
@@ -68,14 +68,14 @@ TEST(TopologyErdosRenyi, SymmetricAdjacency) {
 }
 
 TEST(TopologyErdosRenyi, DenseEnoughIsConnected) {
-  sim::Rng rng{34};
+  common::Rng rng{34};
   // mean degree 12 >> ln(200) ≈ 5.3, connected w.h.p.
   const Topology t = Topology::erdos_renyi(200, 12.0, rng);
   EXPECT_TRUE(t.connected());
 }
 
 TEST(TopologyRandomRegular, ExactDegreeUsually) {
-  sim::Rng rng{35};
+  common::Rng rng{35};
   const Topology t = Topology::random_regular(100, 8, rng);
   EXPECT_EQ(t.kind(), TopologyKind::kRandomRegular);
   std::size_t exact = 0;
@@ -89,13 +89,13 @@ TEST(TopologyRandomRegular, ExactDegreeUsually) {
 }
 
 TEST(TopologyRandomRegular, OddProductRejected) {
-  sim::Rng rng{36};
+  common::Rng rng{36};
   EXPECT_THROW((void)Topology::random_regular(5, 3, rng),
                std::invalid_argument);
 }
 
 TEST(TopologyRandomRegular, NoSelfLoops) {
-  sim::Rng rng{37};
+  common::Rng rng{37};
   const Topology t = Topology::random_regular(50, 4, rng);
   for (std::size_t v = 0; v < t.size(); ++v) {
     for (std::size_t i = 0; i < t.degree(v); ++i) {
@@ -105,7 +105,7 @@ TEST(TopologyRandomRegular, NoSelfLoops) {
 }
 
 TEST(TopologyBuild, DispatchesOnConfig) {
-  sim::Rng rng{38};
+  common::Rng rng{38};
   ProtocolConfig cfg;
   cfg.num_peers = 30;
   cfg.topology = TopologyKind::kComplete;
@@ -118,8 +118,8 @@ TEST(TopologyBuild, DispatchesOnConfig) {
 }
 
 TEST(TopologyBuild, DeterministicGivenSeed) {
-  sim::Rng rng1{55};
-  sim::Rng rng2{55};
+  common::Rng rng1{55};
+  common::Rng rng2{55};
   const Topology a = Topology::erdos_renyi(80, 8.0, rng1);
   const Topology b = Topology::erdos_renyi(80, 8.0, rng2);
   for (std::size_t v = 0; v < 80; ++v) {

@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "common/crc32.h"
+#include "common/rng.h"
 #include "gf/gf256.h"
 #include "proto/integrity.h"
-#include "sim/random.h"
 #include "wire/frame.h"
 #include "wire/message.h"
 
@@ -32,7 +32,7 @@ std::size_t fuzz_iterations() {
   return 100000;
 }
 
-coding::CodedBlock random_block(sim::Rng& rng) {
+coding::CodedBlock random_block(common::Rng& rng) {
   coding::CodedBlock b;
   b.segment.origin = static_cast<std::uint32_t>(rng.uniform_index(1U << 16U));
   b.segment.seq = static_cast<std::uint32_t>(rng.uniform_index(1U << 16U));
@@ -47,7 +47,7 @@ coding::CodedBlock random_block(sim::Rng& rng) {
   return b;
 }
 
-Message random_message(sim::Rng& rng) {
+Message random_message(common::Rng& rng) {
   switch (rng.uniform_index(7)) {
     case 0: {
       Hello h;
@@ -99,7 +99,7 @@ Message random_message(sim::Rng& rng) {
 
 /// Feed `stream` to a fresh decoder in random chunks and drain it,
 /// checking the status contract at every step. Returns frames decoded.
-std::uint64_t drain(sim::Rng& rng, const std::vector<std::uint8_t>& stream) {
+std::uint64_t drain(common::Rng& rng, const std::vector<std::uint8_t>& stream) {
   FrameDecoder dec;
   std::size_t at = 0;
   bool errored = false;
@@ -127,7 +127,7 @@ std::uint64_t drain(sim::Rng& rng, const std::vector<std::uint8_t>& stream) {
 }
 
 TEST(WireFuzz, MutatedFramesNeverCrash) {
-  sim::Rng rng{0xF0221};
+  common::Rng rng{0xF0221};
   const std::size_t iters = fuzz_iterations();
   std::uint64_t decoded = 0;
   std::uint64_t clean = 0;
@@ -181,7 +181,7 @@ TEST(WireFuzz, MutatedFramesNeverCrash) {
 TEST(WireFuzz, HostileLengthPrefixesStayBounded) {
   // Headers with every interesting length value: the decoder must cap
   // allocation at max_body and never ask for more than advertised.
-  sim::Rng rng{0xF0222};
+  common::Rng rng{0xF0222};
   for (std::uint32_t len :
        {0U, 1U, 0xFFFFU, (1U << 20U), (1U << 20U) + 1, 0x7FFFFFFFU,
         0xFFFFFFFFU}) {
@@ -219,7 +219,7 @@ TEST(WireFuzz, BodyMutationsNeverSlipPollutedBlocks) {
   // decoding with a typed latched error, or decodes into a block that
   // the integrity check rejects with a typed verdict — never into a
   // block that verifies clean.
-  sim::Rng rng{0xF0223};
+  common::Rng rng{0xF0223};
   proto::IntegrityAuthority auth{proto::IntegrityParams{0xB10C5ULL, 4}};
   const coding::SegmentId id{7, 3};
   constexpr std::size_t kS = 4;

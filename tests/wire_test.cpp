@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "coding/coded_block.h"
-#include "sim/random.h"
+#include "common/rng.h"
 #include "wire/frame.h"
 #include "wire/message.h"
 
@@ -20,7 +20,7 @@ namespace {
 
 coding::CodedBlock sample_block(std::size_t s, std::size_t payload_bytes,
                                 std::uint64_t seed) {
-  sim::Rng rng{seed};
+  common::Rng rng{seed};
   coding::CodedBlock b;
   b.segment = coding::SegmentId{7, 42};
   b.coefficients.resize(s);

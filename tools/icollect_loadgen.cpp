@@ -38,10 +38,10 @@
 #include <vector>
 
 #include "coding/coded_block.h"
+#include "common/rng.h"
 #include "net/epoll_reactor.h"
 #include "obs/json.h"
 #include "obs/metrics_registry.h"
-#include "sim/random.h"
 #include "wire/frame.h"
 #include "wire/message.h"
 
@@ -259,7 +259,7 @@ class LoadGen final : public net::TransportHandler {
   std::size_t segment_size_;
   std::size_t payload_bytes_;
   std::uint32_t occupancy_;
-  sim::Rng rng_;
+  common::Rng rng_;
   std::unordered_map<net::NodeId, PeerState> peers_;
   std::unordered_set<std::uint32_t> acked_segments_;
   std::vector<std::uint8_t> frame_scratch_;

@@ -25,58 +25,20 @@
 ///
 ///   icollect_pulls [--replicas R] [--seed S] [--out FILE] [--quick]
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <exception>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "bench_table.h"
 #include "node/cluster.h"
 #include "obs/json.h"
 #include "p2p/network.h"
 #include "runner/aggregate.h"
-#include "stats/summary.h"
 
 namespace {
 
 using namespace icollect;
-
-/// One metric's replica aggregate, in the AggregateReport JSON idiom.
-std::string summary_json(const stats::Summary& s) {
-  obs::JsonObject o;
-  o.field("mean", s.mean())
-      .field("stddev", s.stddev())
-      .field("ci95", runner::ci95_half_width(s))
-      .field("min", s.min())
-      .field("max", s.max());
-  return o.str();
-}
-
-/// Named metric summaries, accumulated in insertion order so the output
-/// is byte-stable across runs with the same seed.
-class MetricTable {
- public:
-  void add(std::string_view name, double value) {
-    for (auto& [n, s] : rows_) {
-      if (n == name) {
-        s.add(value);
-        return;
-      }
-    }
-    rows_.emplace_back(std::string{name}, stats::Summary{});
-    rows_.back().second.add(value);
-  }
-
-  [[nodiscard]] std::string to_json() const {
-    obs::JsonObject o;
-    for (const auto& [n, s] : rows_) o.field_raw(n, summary_json(s));
-    return o.str();
-  }
-
- private:
-  std::vector<std::pair<std::string, stats::Summary>> rows_;
-};
+using runner::MetricTable;
 
 // --- Table A: pulls-to-completion vs. policy (simulator) ------------------
 
@@ -156,7 +118,9 @@ std::string run_sim_arm(const SimPointSpec& point, p2p::PullPolicy policy,
   }
 
   obs::JsonObject o;
-  o.field_str("policy", to_string(policy))
+  o.field("s", static_cast<std::uint64_t>(point.segment_size))
+      .field("peers", static_cast<std::uint64_t>(point.num_peers))
+      .field_str("policy", to_string(policy))
       .field_raw("metrics", table.to_json());
   return o.str();
 }
@@ -218,61 +182,20 @@ std::string run_cluster_arm(const ClusterPointSpec& point,
   }
 
   obs::JsonObject o;
-  o.field_str("policy", proto::to_string(policy))
+  o.field("s", static_cast<std::uint64_t>(point.segment_size))
+      .field("peers", static_cast<std::uint64_t>(point.num_peers))
+      .field("segments_per_peer",
+             static_cast<std::uint64_t>(point.segments_per_peer))
+      .field_str("policy", proto::to_string(policy))
       .field_raw("metrics", table.to_json());
   return o.str();
-}
-
-void usage(const char* argv0) {
-  std::printf(
-      "usage: %s [options]\n"
-      "  --replicas R   seeded replicas per point (default 10)\n"
-      "  --seed S       base seed (default 1)\n"
-      "  --out FILE     write JSON to FILE (default stdout)\n"
-      "  --quick        2 replicas, smaller grid (CI smoke)\n",
-      argv0);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t replicas = 10;
-  std::uint64_t seed = 1;
-  std::string out_path;
-  bool quick = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg{argv[i]};
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0], flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "-h" || arg == "--help") {
-      usage(argv[0]);
-      return 0;
-    } else if (arg == "--replicas") {
-      replicas = std::strtoull(value("--replicas"), nullptr, 10);
-    } else if (arg == "--seed") {
-      seed = std::strtoull(value("--seed"), nullptr, 10);
-    } else if (arg == "--out") {
-      out_path = value("--out");
-    } else if (arg == "--quick") {
-      quick = true;
-    } else {
-      std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
-                   std::string{arg}.c_str());
-      usage(argv[0]);
-      return 2;
-    }
-  }
-  if (quick) replicas = 2;
-  if (replicas == 0) {
-    std::fprintf(stderr, "%s: --replicas must be >= 1\n", argv[0]);
-    return 2;
-  }
+  const tools::TableOptions opts = tools::parse_table_options(
+      argc, argv, 10, "2 replicas, smaller grid (CI smoke)");
 
   constexpr p2p::PullPolicy kSimArms[] = {
       p2p::PullPolicy::kUniformNonEmpty,
@@ -285,16 +208,11 @@ int main(int argc, char** argv) {
       proto::PullPolicyKind::kDeficitWeighted,
   };
 
-  std::string body;
-  body += "{\n";
-  body += "  \"schema\": \"icollect-pulls-bench-v1\",\n";
-  body += "  \"replicas\": " + std::to_string(replicas) + ",\n";
-  body += "  \"base_seed\": " + std::to_string(seed) + ",\n";
-
   // Table A.
+  tools::Table sim{"simulator", {}, {}};
   {
     const double inject_time = 2.0;
-    const double max_time = quick ? 120.0 : 400.0;
+    const double max_time = opts.quick ? 120.0 : 400.0;
     const p2p::ProtocolConfig base = sim_config({4, 30}, kSimArms[0]);
     obs::JsonObject cfg_json;
     cfg_json.field("lambda", base.lambda)
@@ -304,33 +222,20 @@ int main(int argc, char** argv) {
         .field("normalized_capacity", base.normalized_capacity())
         .field("inject_time", inject_time)
         .field("max_time", max_time);
-    body += "  \"simulator\": {\n";
-    body += "    \"config\": " + cfg_json.str() + ",\n";
-    body += "    \"points\": [\n";
+    sim.config_json = cfg_json.str();
     std::vector<SimPointSpec> grid = {{4, 30}, {8, 30}, {4, 60}};
-    if (quick) grid = {{4, 30}};
-    bool first = true;
+    if (opts.quick) grid = {{4, 30}};
     for (const SimPointSpec& point : grid) {
       for (const p2p::PullPolicy policy : kSimArms) {
-        std::fprintf(stderr, "sim: s=%zu N=%zu policy=%s ...\n",
-                     point.segment_size, point.num_peers, to_string(policy));
-        obs::JsonObject o;
-        o.field("s", static_cast<std::uint64_t>(point.segment_size))
-            .field("peers", static_cast<std::uint64_t>(point.num_peers));
-        std::string arm = run_sim_arm(point, policy, seed, replicas,
-                                      inject_time, max_time);
-        // Splice the (s, N) identity into the arm object.
-        const std::string id = o.str();
-        arm.insert(1, id.substr(1, id.size() - 2) + ",");
-        if (!first) body += ",\n";
-        first = false;
-        body += "      " + arm;
+        sim.points.push_back(run_sim_arm(point, policy, opts.seed,
+                                         opts.replicas, inject_time,
+                                         max_time));
       }
     }
-    body += "\n    ]\n  },\n";
   }
 
   // Table B.
+  tools::Table cluster{"cluster", {}, {}};
   {
     const double max_time = 600.0;
     const node::ClusterConfig base =
@@ -344,47 +249,18 @@ int main(int argc, char** argv) {
         .field("payload_bytes",
                static_cast<std::uint64_t>(base.payload_bytes))
         .field("max_time", max_time);
-    body += "  \"cluster\": {\n";
-    body += "    \"config\": " + cfg_json.str() + ",\n";
-    body += "    \"points\": [\n";
+    cluster.config_json = cfg_json.str();
     std::vector<ClusterPointSpec> grid = {{4, 12, 3}, {5, 16, 2}};
-    if (quick) grid = {{4, 12, 2}};
-    bool first = true;
+    if (opts.quick) grid = {{4, 12, 2}};
     for (const ClusterPointSpec& point : grid) {
       for (const proto::PullPolicyKind policy : kClusterArms) {
-        std::fprintf(stderr, "cluster: s=%zu N=%zu policy=%s ...\n",
-                     point.segment_size, point.num_peers,
-                     proto::to_string(policy));
-        obs::JsonObject o;
-        o.field("s", static_cast<std::uint64_t>(point.segment_size))
-            .field("peers", static_cast<std::uint64_t>(point.num_peers))
-            .field("segments_per_peer",
-                   static_cast<std::uint64_t>(point.segments_per_peer));
-        std::string arm =
-            run_cluster_arm(point, policy, seed, replicas, max_time);
-        const std::string id = o.str();
-        arm.insert(1, id.substr(1, id.size() - 2) + ",");
-        if (!first) body += ",\n";
-        first = false;
-        body += "      " + arm;
+        cluster.points.push_back(run_cluster_arm(
+            point, policy, opts.seed, opts.replicas, max_time));
       }
     }
-    body += "\n    ]\n  }\n";
   }
-  body += "}\n";
 
-  if (out_path.empty()) {
-    std::fputs(body.c_str(), stdout);
-    return 0;
-  }
-  std::FILE* f = std::fopen(out_path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "%s: cannot open %s: %s\n", argv[0],
-                 out_path.c_str(), std::strerror(errno));
-    return 2;
-  }
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  std::printf("wrote %s (%zu bytes)\n", out_path.c_str(), body.size());
-  return 0;
+  return tools::write_document(
+      argv[0], opts,
+      tools::render_tables("icollect-pulls-bench-v1", opts, {sim, cluster}));
 }

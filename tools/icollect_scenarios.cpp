@@ -25,65 +25,20 @@
 ///
 ///   icollect_scenarios [--replicas R] [--seed S] [--out FILE] [--quick]
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <exception>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "bench_table.h"
 #include "core/icollect.h"
 #include "node/cluster.h"
 #include "obs/json.h"
 #include "runner/aggregate.h"
-#include "stats/summary.h"
 
 namespace {
 
 using namespace icollect;
-
-/// One metric's replica aggregate, in the AggregateReport JSON idiom.
-std::string summary_json(const stats::Summary& s) {
-  obs::JsonObject o;
-  o.field("mean", s.mean())
-      .field("stddev", s.stddev())
-      .field("ci95", runner::ci95_half_width(s))
-      .field("min", s.min())
-      .field("max", s.max());
-  return o.str();
-}
-
-/// Named metric summaries, accumulated in insertion order so the output
-/// is byte-stable across runs with the same seed.
-class MetricTable {
- public:
-  void add(std::string_view name, double value) {
-    for (auto& [n, s] : rows_) {
-      if (n == name) {
-        s.add(value);
-        return;
-      }
-    }
-    rows_.emplace_back(std::string{name}, stats::Summary{});
-    rows_.back().second.add(value);
-  }
-
-  [[nodiscard]] const stats::Summary* find(std::string_view name) const {
-    for (const auto& [n, s] : rows_) {
-      if (n == name) return &s;
-    }
-    return nullptr;
-  }
-
-  [[nodiscard]] std::string to_json() const {
-    obs::JsonObject o;
-    for (const auto& [n, s] : rows_) o.field_raw(n, summary_json(s));
-    return o.str();
-  }
-
- private:
-  std::vector<std::pair<std::string, stats::Summary>> rows_;
-};
+using runner::MetricTable;
 
 // --- Table A: pollution spread vs. honest fraction (simulator) ------------
 
@@ -169,17 +124,10 @@ node::ClusterConfig cluster_base_config() {
   return cfg;
 }
 
-struct FaultPointResult {
-  std::string json;        // point object minus the inflation field
-  double mean_time = 0.0;  // mean completion time over replicas
+MetricTable run_fault_point(double partition_fraction, double partition_at,
+                            double duration, std::uint64_t base_seed,
+                            std::uint64_t replicas, double max_time) {
   MetricTable table;
-};
-
-FaultPointResult run_fault_point(double partition_fraction,
-                                 double partition_at, double duration,
-                                 std::uint64_t base_seed,
-                                 std::uint64_t replicas, double max_time) {
-  FaultPointResult out;
   for (std::uint64_t r = 0; r < replicas; ++r) {
     node::ClusterConfig cfg = cluster_base_config();
     cfg.seed = base_seed + r;
@@ -199,92 +147,29 @@ FaultPointResult run_fault_point(double partition_fraction,
     }
     const bool complete = cluster.run_to_completion(max_time);
 
-    out.table.add("complete", complete ? 1.0 : 0.0);
-    out.table.add("completion_time", cluster.now());
-    out.table.add("fault_drops",
-                  static_cast<double>(cluster.net().fault_drops()));
-    out.table.add("queue_refusals",
-                  static_cast<double>(
-                      cluster.net().backpressure_refusals()));
-    out.table.add("segments_decoded",
-                  static_cast<double>(cluster.segments_decoded()));
+    table.add("complete", complete ? 1.0 : 0.0);
+    table.add("completion_time", cluster.now());
+    table.add("fault_drops",
+              static_cast<double>(cluster.net().fault_drops()));
+    table.add("queue_refusals",
+              static_cast<double>(cluster.net().backpressure_refusals()));
+    table.add("segments_decoded",
+              static_cast<double>(cluster.segments_decoded()));
   }
-  out.mean_time = out.table.find("completion_time")->mean();
-
-  obs::JsonObject o;
-  o.field("partition_fraction", partition_fraction)
-      .field("partitioned_peers",
-             static_cast<std::uint64_t>(
-                 static_cast<double>(cluster_base_config().num_peers) *
-                 partition_fraction))
-      .field("partition_at", partition_at)
-      .field("partition_duration", duration)
-      .field_raw("metrics", out.table.to_json());
-  out.json = o.str();
-  return out;
-}
-
-void usage(const char* argv0) {
-  std::printf(
-      "usage: %s [options]\n"
-      "  --replicas R   seeded replicas per point (default 5)\n"
-      "  --seed S       base seed (default 1)\n"
-      "  --out FILE     write JSON to FILE (default stdout)\n"
-      "  --quick        2 replicas, shorter runs (CI smoke)\n",
-      argv0);
+  return table;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t replicas = 5;
-  std::uint64_t seed = 1;
-  std::string out_path;
-  bool quick = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg{argv[i]};
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0], flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "-h" || arg == "--help") {
-      usage(argv[0]);
-      return 0;
-    } else if (arg == "--replicas") {
-      replicas = std::strtoull(value("--replicas"), nullptr, 10);
-    } else if (arg == "--seed") {
-      seed = std::strtoull(value("--seed"), nullptr, 10);
-    } else if (arg == "--out") {
-      out_path = value("--out");
-    } else if (arg == "--quick") {
-      quick = true;
-    } else {
-      std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
-                   std::string{arg}.c_str());
-      usage(argv[0]);
-      return 2;
-    }
-  }
-  if (quick) replicas = 2;
-  if (replicas == 0) {
-    std::fprintf(stderr, "%s: --replicas must be >= 1\n", argv[0]);
-    return 2;
-  }
-  const double warm = quick ? 1.0 : 2.0;
-  const double measure = quick ? 6.0 : 15.0;
+  const tools::TableOptions opts = tools::parse_table_options(
+      argc, argv, 5, "2 replicas, shorter runs (CI smoke)");
+  const double warm = opts.quick ? 1.0 : 2.0;
+  const double measure = opts.quick ? 6.0 : 15.0;
   const double max_time = 600.0;
 
-  std::string body;
-  body += "{\n";
-  body += "  \"schema\": \"icollect-scenario-bench-v1\",\n";
-  body += "  \"replicas\": " + std::to_string(replicas) + ",\n";
-  body += "  \"base_seed\": " + std::to_string(seed) + ",\n";
-
   // Table A.
+  tools::Table pollution{"pollution_vs_honest_fraction", {}, {}};
   {
     const p2p::ProtocolConfig base = sim_base_config();
     obs::JsonObject cfg_json;
@@ -300,27 +185,19 @@ int main(int argc, char** argv) {
         .field_str("strategy", "random-payload")
         .field("warm", warm)
         .field("measure", measure);
-    body += "  \"pollution_vs_honest_fraction\": {\n";
-    body += "    \"config\": " + cfg_json.str() + ",\n";
-    body += "    \"points\": [\n";
+    pollution.config_json = cfg_json.str();
     const double fractions[] = {0.0, 0.10, 0.25, 0.40};
-    bool first = true;
     for (const double f : fractions) {
       for (const std::size_t checks : {std::size_t{2}, std::size_t{0}}) {
         if (f == 0.0 && checks == 0) continue;  // no pollution to defend
-        if (!first) body += ",\n";
-        first = false;
-        std::fprintf(stderr, "pollution: fraction=%.2f checks=%zu ...\n",
-                     f, checks);
-        body += "      " +
-                run_pollution_point({f, checks}, seed, replicas, warm,
-                                    measure);
+        pollution.points.push_back(run_pollution_point(
+            {f, checks}, opts.seed, opts.replicas, warm, measure));
       }
     }
-    body += "\n    ]\n  },\n";
   }
 
   // Table B.
+  tools::Table faults{"collection_time_vs_fault_severity", {}, {}};
   {
     const node::ClusterConfig base = cluster_base_config();
     const double partition_fraction = 0.5;
@@ -338,48 +215,33 @@ int main(int argc, char** argv) {
         .field("payload_bytes",
                static_cast<std::uint64_t>(base.payload_bytes))
         .field("max_time", max_time);
-    body += "  \"collection_time_vs_fault_severity\": {\n";
-    body += "    \"config\": " + cfg_json.str() + ",\n";
-    body += "    \"points\": [\n";
+    faults.config_json = cfg_json.str();
     const double durations[] = {0.0, 2.0, 4.0, 8.0};
     double baseline_mean = 0.0;
-    bool first = true;
     for (const double d : durations) {
-      std::fprintf(stderr, "faults: partition_duration=%.1f ...\n", d);
-      FaultPointResult res =
-          run_fault_point(d > 0.0 ? partition_fraction : 0.0,
-                          partition_at, d, seed, replicas, max_time);
-      if (d == 0.0) baseline_mean = res.mean_time;
-      // Splice the inflation factor into the point object (it depends
-      // on the duration-0 baseline, which is always the first point).
-      std::string point = res.json;
-      obs::JsonObject extra;
-      extra.field("time_inflation_vs_baseline",
-                  baseline_mean > 0.0 ? res.mean_time / baseline_mean
-                                      : 0.0);
-      const std::string extra_body = extra.str();
-      point.insert(point.size() - 1,
-                   "," + extra_body.substr(1, extra_body.size() - 2));
-      if (!first) body += ",\n";
-      first = false;
-      body += "      " + point;
+      const double fraction = d > 0.0 ? partition_fraction : 0.0;
+      const MetricTable table = run_fault_point(
+          fraction, partition_at, d, opts.seed, opts.replicas, max_time);
+      const double mean_time = table.find("completion_time")->mean();
+      // The inflation factor is relative to the duration-0 baseline,
+      // which is always the first point.
+      if (d == 0.0) baseline_mean = mean_time;
+      obs::JsonObject o;
+      o.field("partition_fraction", fraction)
+          .field("partitioned_peers",
+                 static_cast<std::uint64_t>(
+                     static_cast<double>(base.num_peers) * fraction))
+          .field("partition_at", partition_at)
+          .field("partition_duration", d)
+          .field_raw("metrics", table.to_json())
+          .field("time_inflation_vs_baseline",
+                 baseline_mean > 0.0 ? mean_time / baseline_mean : 0.0);
+      faults.points.push_back(o.str());
     }
-    body += "\n    ]\n  }\n";
   }
-  body += "}\n";
 
-  if (out_path.empty()) {
-    std::fputs(body.c_str(), stdout);
-    return 0;
-  }
-  std::FILE* f = std::fopen(out_path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "%s: cannot open %s: %s\n", argv[0],
-                 out_path.c_str(), std::strerror(errno));
-    return 2;
-  }
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  std::printf("wrote %s (%zu bytes)\n", out_path.c_str(), body.size());
-  return 0;
+  return tools::write_document(
+      argv[0], opts,
+      tools::render_tables("icollect-scenario-bench-v1", opts,
+                           {pollution, faults}));
 }

@@ -109,15 +109,8 @@ int main(int argc, char** argv) {
       // Shared cross-driver flag name; equivalent to the pull= config key
       // but with the CLI-wide usage-error contract (exit 2).
       const std::string_view name = arg.substr(14);
-      if (name == "uniform" || name == "non-empty") {
-        pull_policy_override = p2p::PullPolicy::kUniformNonEmpty;
-      } else if (name == "all") {
-        pull_policy_override = p2p::PullPolicy::kUniformAll;
-      } else if (name == "rarest" || name == "rarest-first") {
-        pull_policy_override = p2p::PullPolicy::kRarestFirst;
-      } else if (name == "deficit" || name == "deficit-weighted") {
-        pull_policy_override = p2p::PullPolicy::kDeficitWeighted;
-      } else {
+      pull_policy_override = p2p::parse_pull_policy(name);
+      if (!pull_policy_override) {
         std::fprintf(stderr,
                      "--pull-policy=%.*s: unknown policy "
                      "(choices: uniform|all|rarest|deficit)\n",

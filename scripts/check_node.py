@@ -11,7 +11,8 @@ Three layers of checks:
      127.0.0.1 must finish a collection — every peer exits 0 once all
      its segments are ACKed, the server exits 0 once it decoded them.
   3. CLI contract: malformed invocations (unknown flag, missing role,
-     no endpoints) must exit nonzero with a usage message, not start.
+     no endpoints, numeric flags with trailing text or a sign) must exit
+     2 with a diagnostic, not start.
 
 Usage: check_node.py /path/to/icollect_cluster /path/to/icollect_node
 Exits nonzero with a message on the first failed check.
@@ -155,11 +156,26 @@ def check_cli_errors(cluster_bin, node_bin):
          "unparseable listen address"),
         ([node_bin, "--role", "server", "--listen", "127.0.0.1:1",
           "--backend", "poll"], "removed poll backend"),
+        ([cluster_bin, "--peers", "4x", "--servers", "1",
+          "--segments-per-peer", "1", "--seed", "-3", "--max-time", "20"],
+         "cluster count with trailing text"),
+        ([cluster_bin, "--peers", "4", "--seed", "-3"],
+         "cluster negative seed"),
+        ([cluster_bin, "--drop", "0.1x"], "cluster real with trailing text"),
+        ([node_bin, "--role", "server", "--listen", "127.0.0.1:1",
+          "--seed", "-3"], "node negative seed"),
+        ([node_bin, "--role", "server", "--listen", "127.0.0.1:1",
+          "--pull-rate", "50/s"], "node real with trailing text"),
+        ([node_bin, "--role", "server", "--listen", "127.0.0.1:1x"],
+         "node port with trailing text"),
+        ([node_bin, "--role", "server", "--listen", "127.0.0.1:1",
+          "--shards", "0"], "node zero shards"),
     ]
     for cmd, what in cases:
         proc = subprocess.run(cmd, capture_output=True, text=True,
                               timeout=60)
-        check(proc.returncode != 0, f"{what}: expected nonzero exit")
+        check(proc.returncode == 2,
+              f"{what}: expected exit 2, got {proc.returncode}")
         check(proc.stderr.strip() != "",
               f"{what}: expected a diagnostic on stderr")
     print(f"check_node: CLI rejects {len(cases)} malformed invocations")

@@ -18,27 +18,23 @@ BufferPool::Buffer BufferPool::acquire(std::size_t min_capacity) {
       min_capacity > opts_.default_capacity ? min_capacity
                                             : opts_.default_capacity;
   Buffer buf;
-  {
-    std::lock_guard<std::mutex> lock{mu_};
-    ++outstanding_;
-    if (outstanding_ > outstanding_hwm_) outstanding_hwm_ = outstanding_;
-    if (!free_.empty()) {
-      // Prefer the most recently released buffer (back of the freelist):
-      // it is the one most likely still cache-warm.
-      buf = std::move(free_.back());
-      free_.pop_back();
-      ++hits_;
-    } else {
-      ++misses_;
-    }
+  ++outstanding_;
+  if (outstanding_ > outstanding_hwm_) outstanding_hwm_ = outstanding_;
+  if (!free_.empty()) {
+    // Prefer the most recently released buffer (back of the freelist):
+    // it is the one most likely still cache-warm.
+    buf = std::move(free_.back());
+    free_.pop_back();
+    ++hits_;
+  } else {
+    ++misses_;
   }
   if (buf.capacity() < want) buf.reserve(want);
   return buf;
 }
 
 void BufferPool::release(Buffer&& buf) {
-  Buffer local = std::move(buf);  // destructor (if dropped) runs unlocked
-  std::lock_guard<std::mutex> lock{mu_};
+  Buffer local = std::move(buf);  // taken even when dropped
   if (outstanding_ > 0) --outstanding_;
   ++releases_;
   if (free_.size() >= opts_.max_buffers ||
@@ -50,7 +46,6 @@ void BufferPool::release(Buffer&& buf) {
 }
 
 BufferPool::Stats BufferPool::stats() const {
-  std::lock_guard<std::mutex> lock{mu_};
   Stats s;
   s.hits = hits_;
   s.misses = misses_;
@@ -64,7 +59,6 @@ BufferPool::Stats BufferPool::stats() const {
 }
 
 double BufferPool::hit_rate() const {
-  std::lock_guard<std::mutex> lock{mu_};
   const std::uint64_t total = hits_ + misses_;
   return total == 0 ? 1.0
                     : static_cast<double>(hits_) / static_cast<double>(total);

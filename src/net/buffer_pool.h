@@ -1,22 +1,16 @@
 #pragma once
 
 /// \file buffer_pool.h
-/// Freelist of byte buffers shared by the reactor's IO paths, so frame
-/// and send buffers are recycled instead of allocated per operation.
+/// Freelist of byte buffers for the reactor's send queues, so frame
+/// buffers are recycled instead of allocated per operation.
 ///
-/// Every read lands in a pooled buffer that travels (by move) from the
-/// reactor shard that filled it to the thread that dispatches it to the
-/// handler, then comes back; every send() copies the caller's frame into
-/// a pooled buffer that rides the connection's output queue until writev
-/// drains it. In steady state the pool therefore reaches a working-set
-/// high-water mark and stops touching the allocator entirely — the
+/// Every send() copies the caller's frame into a pooled buffer that
+/// rides the connection's output queue until sendmsg drains it. In
+/// steady state the pool therefore reaches a working-set high-water
+/// mark and stops touching the allocator entirely — the
 /// `hits / (hits + misses)` ratio exported through attach-style gauges
-/// is the observable for that.
-///
-/// Thread safety: acquire/release are mutex-serialized (the critical
-/// section is a vector push/pop — nanoseconds against the microseconds
-/// of the syscalls they bracket). Buffers themselves are owned by
-/// exactly one thread at a time; the pool only stores idle ones.
+/// is the observable for that. Single-threaded, like the reactor that
+/// owns it.
 ///
 /// Two anti-hoarding rules keep a burst from pinning memory forever:
 /// the freelist holds at most `max_buffers` idle buffers, and a buffer
@@ -26,7 +20,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 namespace icollect::net {
@@ -50,9 +43,7 @@ class BufferPool {
   /// A buffer with capacity >= max(min_capacity, default). Reuses an
   /// idle pooled buffer when one is available (a *hit*), otherwise
   /// allocates fresh (a *miss*). Size and contents are unspecified —
-  /// callers assign() or resize() before use. Deliberate: preserving the
-  /// size means a recycled read buffer is already at chunk size and
-  /// resize() is a no-op instead of a 64 KiB zero-fill per recv.
+  /// callers assign() or resize() before use.
   [[nodiscard]] Buffer acquire(std::size_t min_capacity = 0);
 
   /// Return a buffer to the freelist (size and capacity kept). Dropped
@@ -77,7 +68,6 @@ class BufferPool {
 
  private:
   Options opts_;
-  mutable std::mutex mu_;
   std::vector<Buffer> free_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -27,8 +27,8 @@ using NodeId = std::uint32_t;
 inline constexpr NodeId kInvalidNodeId = 0xFFFFFFFFU;
 
 /// Event sink a node registers with its transport. Callbacks fire on
-/// the transport's driving thread only (the epoll reactor's shard
-/// threads hand their events to it and never call the handler).
+/// the transport's driving thread only: the thread that runs its event
+/// loop (the epoll reactor's poll_once, the loopback's run_until).
 class TransportHandler {
  public:
   virtual ~TransportHandler() = default;

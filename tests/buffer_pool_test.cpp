@@ -48,8 +48,7 @@ TEST(BufferPool, FirstAcquireMissesThenReuseHits) {
 
 TEST(BufferPool, RecycledBufferKeepsSizeAndContents) {
   // The no-clear contract: a recycled buffer comes back with whatever
-  // size/contents it had, so a read buffer already at chunk size makes
-  // resize(chunk) a no-op instead of a zero-fill. Callers must assign()
+  // size/contents it had (no zero-fill on reuse). Callers must assign()
   // or resize() before trusting the bytes.
   BufferPool pool;
   auto a = pool.acquire();

@@ -4,10 +4,11 @@
 /// propagation / backpressure / retry exhaustion), socket-level
 /// robustness (short sends on a tiny SO_SNDBUF, EINTR storms, a slow
 /// reader that fills the send queue and gets reaped), and what is
-/// reactor-specific — shard distribution, buffer-pool reuse, batching
-/// and lifecycle counters. Handler callbacks run on the driving thread
-/// only, so the recording handler needs no locks even though shards do
-/// the socket work.
+/// reactor-specific — buffer-pool reuse, batching, lifecycle counters,
+/// the callback contract (nothing re-enters the handler from connect()
+/// or send()) and the flush on teardown. The reactor does all socket
+/// work inside poll_once on the calling thread, so the recording handler
+/// needs no locks.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -50,8 +52,8 @@ std::vector<std::uint8_t> bytes_of(const std::string& s) {
   return {s.begin(), s.end()};
 }
 
-/// Pump both transports until `done` or the wall-clock deadline. The
-/// shards work in the background; poll_once only drains their events.
+/// Pump both transports until `done` or the wall-clock deadline. All
+/// socket work happens inside poll_once.
 template <typename Pred>
 bool pump(EpollReactor& a, EpollReactor& b, Pred done,
           double timeout = 10.0) {
@@ -66,8 +68,8 @@ bool pump(EpollReactor& a, EpollReactor& b, Pred done,
 
 /// A bare listening socket. The kernel completes TCP handshakes into
 /// its backlog, and nothing sent to it is read until the test calls
-/// accept_and_read() — unlike a reactor, whose shards read on their
-/// own threads whether or not anyone polls it.
+/// accept_and_read() — on a helper thread when the writer must keep
+/// polling meanwhile, or never, for a peer that does not read.
 class SilentListener {
  public:
   SilentListener() {
@@ -158,8 +160,8 @@ TEST(EpollReactor, ConnectExchangeClose) {
 }
 
 TEST(EpollReactor, LargeTransferRecyclesBuffers) {
-  // 1 MiB arrives intact through the pooled read path; afterwards the
-  // pool must show reuse (reads outnumber distinct buffers by far).
+  // 1 MiB arrives intact through the chunked read path; afterwards the
+  // sender's pool must show its send buffers reused.
   EpollReactor server;
   EpollReactor client;
   RecordingHandler hs;
@@ -182,15 +184,15 @@ TEST(EpollReactor, LargeTransferRecyclesBuffers) {
   }));
   EXPECT_EQ(hs.received[hs.ups[0]], blob);
 
-  // The blob may drain inside one wakeup burst (all pool misses, the
-  // releases land afterwards); a follow-up read must reuse one of the
-  // now-idle buffers.
+  // Every read lands in the server's one read chunk; the blob's send
+  // buffer went back to the client's pool once it drained, and the
+  // follow-up send must reuse it.
   ASSERT_TRUE(client.send(conn, bytes_of("warm")));
   ASSERT_TRUE(pump(server, client, [&] {
     return hs.received[hs.ups[0]].size() >= blob.size() + 4;
   }));
-  const auto pool = server.pool().stats();
-  EXPECT_GT(pool.hits, 0U) << "read buffers never recycled";
+  const auto pool = client.pool().stats();
+  EXPECT_GT(pool.hits, 0U) << "send buffers never recycled";
   EXPECT_GT(server.wakeups(), 0U);
   EXPECT_GE(server.events_dispatched(), server.wakeups());
   EXPECT_GT(client.writev_calls(), 0U);
@@ -212,10 +214,8 @@ TEST(EpollReactor, BackpressureRefusesOverCap) {
     return !hs.ups.empty() && !hc.ups.empty();
   }));
 
-  // Flood without pumping the client: once >64 bytes sit unsent, send()
-  // must refuse rather than queue unboundedly. The shard may drain some
-  // of the early frames, so refusal is eventually-guaranteed, not
-  // instant — keep pushing until it happens.
+  // Flood without pumping the client: send() only queues, so once >64
+  // bytes sit unsent it must refuse rather than queue unboundedly.
   const std::vector<std::uint8_t> chunk(48, 0x5A);
   bool refused = false;
   for (int i = 0; i < 10000 && !refused; ++i) {
@@ -255,35 +255,6 @@ TEST(EpollReactor, ConnectToDeadPortFailsAfterRetries) {
   EXPECT_GE(client.connect_retries(), 1U);
 }
 
-TEST(EpollReactor, ConnectionsSpreadAcrossShards) {
-  EpollReactor::Options opts;
-  opts.reactor_shards = 2;
-  EpollReactor server{opts};
-  EpollReactor client{opts};
-  RecordingHandler hs;
-  RecordingHandler hc;
-  server.set_handler(&hs);
-  client.set_handler(&hc);
-  ASSERT_EQ(server.shard_count(), 2U);
-
-  const std::uint16_t port = server.listen("127.0.0.1", 0);
-  constexpr std::size_t kConns = 8;
-  for (std::size_t i = 0; i < kConns; ++i) {
-    ASSERT_NE(client.connect("127.0.0.1", port), kInvalidNodeId);
-  }
-  ASSERT_TRUE(pump(server, client, [&] {
-    return hs.ups.size() >= kConns && hc.ups.size() >= kConns;
-  }));
-
-  EXPECT_EQ(server.open_connections(), kConns);
-  const std::size_t s0 = server.shard_connections(0);
-  const std::size_t s1 = server.shard_connections(1);
-  EXPECT_EQ(s0 + s1, kConns);
-  // id % nshards routing with sequential ids: an even split.
-  EXPECT_GT(s0, 0U);
-  EXPECT_GT(s1, 0U);
-}
-
 TEST(EpollReactor, AttachMetricsExportsReactorGauges) {
   EpollReactor server;
   EpollReactor client;
@@ -300,21 +271,30 @@ TEST(EpollReactor, AttachMetricsExportsReactorGauges) {
   ASSERT_TRUE(pump(server, client, [&] {
     return !hs.received.empty() && hs.received[hs.ups[0]].size() >= 13;
   }));
+  // More concurrent connections on the one epoll set: all come up and
+  // the gauges count every one.
+  constexpr std::size_t kConns = 8;
+  for (std::size_t i = 1; i < kConns; ++i) {
+    ASSERT_NE(client.connect("127.0.0.1", port), kInvalidNodeId);
+  }
+  ASSERT_TRUE(pump(server, client, [&] {
+    return hs.ups.size() >= kConns && hc.ups.size() >= kConns;
+  }));
+  EXPECT_EQ(server.open_connections(), kConns);
 
   obs::MetricsRegistry registry;
   server.attach_metrics(registry, "epoll.");
   for (const char* name :
        {"epoll.accepts", "epoll.bytes_in", "epoll.wakeups",
-        "epoll.events_per_wakeup", "epoll.conns", "epoll.pool_hit_rate",
-        "epoll.shards", "epoll.shard0.conns"}) {
+        "epoll.events_per_wakeup", "epoll.conns", "epoll.pool_hit_rate"}) {
     EXPECT_TRUE(registry.contains(name)) << name;
   }
   const auto* conns = registry.find_gauge("epoll.conns");
   ASSERT_NE(conns, nullptr);
-  EXPECT_DOUBLE_EQ(conns->value(), 1.0);
+  EXPECT_DOUBLE_EQ(conns->value(), static_cast<double>(kConns));
   const auto* accepts = registry.find_gauge("epoll.accepts");
   ASSERT_NE(accepts, nullptr);
-  EXPECT_DOUBLE_EQ(accepts->value(), 1.0);
+  EXPECT_DOUBLE_EQ(accepts->value(), static_cast<double>(kConns));
 }
 
 TEST(EpollReactor, SendToUnknownConnRefused) {
@@ -350,8 +330,8 @@ TEST(EpollReactor, InstrumentationCountersTrackLifecycle) {
   EXPECT_EQ(client.accepts(), 0U);
   EXPECT_EQ(server.accepts(), 1U);
 
-  // The shard settles its send accounting right after the bytes leave,
-  // which may be a moment after the peer has them: wait for both.
+  // The bytes leave in the client's next poll_once; wait until the peer
+  // has them and the client's send accounting is settled.
   ASSERT_TRUE(client.send(conn, bytes_of("ping")));
   ASSERT_TRUE(pump(server, client, [&] {
     return hs.received[hs.ups[0]].size() >= 4 &&
@@ -367,8 +347,8 @@ TEST(EpollReactor, InstrumentationCountersTrackLifecycle) {
   EXPECT_DOUBLE_EQ(reg.find_gauge("cli.outq_bytes")->value(), 0.0);
   EXPECT_GE(reg.find_gauge("cli.bytes_out")->value(), 4.0);
 
-  // close_peer drops the handle at once; the shard counts the close
-  // when it tears the socket down.
+  // close_peer drops the handle and counts the close at once; pumping
+  // afterwards changes neither.
   client.close_peer(conn);
   EXPECT_EQ(client.open_connections(), 0U);
   ASSERT_TRUE(pump(server, client, [&] { return client.closes() == 1; }));
@@ -406,12 +386,16 @@ TEST(EpollReactor, ShortSendsDeliverIntact) {
   }
   EXPECT_GT(client.partial_drains(), 0U);
 
-  // The shard resumes the drain on its own thread as the peer reads.
-  EXPECT_EQ(reader.accept_and_read(blob.size()), blob);
+  // The peer reads on a helper thread while this thread pumps the
+  // reactor, which resumes the drain mid-buffer as the kernel takes more.
+  std::vector<std::uint8_t> got;
+  std::thread drain{[&] { got = reader.accept_and_read(blob.size()); }};
   const double t2 = client.now();
   while (client.now() - t2 < 10.0 && client.send_queue_bytes() > 0) {
     client.poll_once(0.01);
   }
+  drain.join();
+  EXPECT_EQ(got, blob);
   EXPECT_EQ(client.send_queue_bytes(), 0U);
   EXPECT_TRUE(hc.downs.empty());
 }
@@ -447,9 +431,8 @@ class SignalStorm {
 };
 
 TEST(EpollReactor, TransferSurvivesSignalStorm) {
-  // The storm hits shard threads and the driving thread alike: the
-  // reactor must retry interrupted syscalls, never drop bytes or
-  // surface a spurious close.
+  // The storm interrupts the driving thread's syscalls: the reactor
+  // must retry them, never drop bytes or surface a spurious close.
   const SignalStorm storm;
   ASSERT_TRUE(storm.armed());
   EpollReactor server;
@@ -477,9 +460,9 @@ TEST(EpollReactor, TransferSurvivesSignalStorm) {
 }
 
 TEST(EpollReactor, SlowReaderHitsQueueCapThenIdleReapStaysReconnectSafe) {
-  // A scripted slow-reader peer. A reactor reads on its shard threads
-  // whether or not anyone polls it, so the reader is a bare listening
-  // socket that never accepts. The writer must (1) absorb backpressure
+  // A scripted slow-reader peer: a bare listening socket that never
+  // accepts, so nothing ever drains the connection while the writer
+  // pumps poll_once. The writer must (1) absorb backpressure
   // into its bounded send queue, (2) refuse sends — not balloon — once
   // the cap is hit, and (3) reap the silent connection via the idle
   // timeout in a way that leaves the reactor reusable for a new
@@ -570,6 +553,106 @@ TEST(EpollReactor, ConnectRetriesAreCounted) {
   EXPECT_EQ(client.connect_retries(), 2U);
   EXPECT_EQ(client.connects_failed(), 1U);
   EXPECT_EQ(client.connects_ok(), 0U);
+}
+
+/// Counts callbacks that fire while the test is inside a reactor call
+/// that must never call the handler.
+class ReentryHandler final : public TransportHandler {
+ public:
+  void on_peer_up(NodeId peer) override {
+    note();
+    ups.push_back(peer);
+  }
+  void on_peer_down(NodeId peer) override {
+    note();
+    downs.push_back(peer);
+  }
+  void on_bytes(NodeId /*peer*/,
+                std::span<const std::uint8_t> /*bytes*/) override {
+    note();
+  }
+
+  bool inside = false;
+  int reentries = 0;
+  std::vector<NodeId> ups;
+  std::vector<NodeId> downs;
+
+ private:
+  void note() {
+    if (inside) ++reentries;
+  }
+};
+
+TEST(EpollReactor, NoCallbackFromConnectOrSend) {
+  // connect() and send() only queue work. Every outcome — a connection
+  // that comes up, an attempt that fails before any socket exists, a
+  // refused send — reaches the handler from a later poll_once.
+  EpollReactor server;
+  RecordingHandler hs;
+  server.set_handler(&hs);
+  const std::uint16_t port = server.listen("127.0.0.1", 0);
+
+  EpollReactor::Options opts;
+  opts.connect_retries = 0;
+  opts.send_queue_cap_bytes = 64;
+  EpollReactor client{opts};
+  ReentryHandler hc;
+  client.set_handler(&hc);
+
+  hc.inside = true;
+  const NodeId good = client.connect("127.0.0.1", port);
+  // Not an IPv4 literal: this attempt fails before it starts.
+  const NodeId bad = client.connect("256.0.0.1", port);
+  const std::vector<std::uint8_t> early = bytes_of("queued while connecting");
+  EXPECT_TRUE(client.send(good, early));
+  EXPECT_FALSE(client.send(good, std::vector<std::uint8_t>(65, 1)));
+  hc.inside = false;
+  EXPECT_TRUE(hc.ups.empty());
+  EXPECT_TRUE(hc.downs.empty());
+
+  ASSERT_TRUE(pump(server, client, [&] {
+    return !hc.ups.empty() && !hc.downs.empty() && !hs.ups.empty();
+  }));
+  EXPECT_EQ(hc.ups, std::vector<NodeId>{good});
+  EXPECT_EQ(hc.downs, std::vector<NodeId>{bad});
+  EXPECT_EQ(client.connects_failed(), 1U);
+
+  // Sends on the established connection stay silent too.
+  hc.inside = true;
+  for (int i = 0; i < 8; ++i) EXPECT_TRUE(client.send(good, bytes_of("x")));
+  hc.inside = false;
+  ASSERT_TRUE(pump(server, client, [&] {
+    return hs.received[hs.ups[0]].size() >= early.size() + 8;
+  }));
+  EXPECT_EQ(hs.received[hs.ups[0]],
+            bytes_of("queued while connectingxxxxxxxx"));
+  EXPECT_EQ(hc.reentries, 0);
+}
+
+TEST(EpollReactor, DestructorFlushesQueuedSends) {
+  // Frames queued right before the reactor goes away still reach the
+  // peer: the destructor makes one non-blocking flush attempt per open
+  // connection before it closes the socket.
+  SilentListener reader;
+  ASSERT_GT(reader.port(), 0);
+  std::vector<std::uint8_t> expected;
+  {
+    RecordingHandler hc;
+    EpollReactor client;
+    client.set_handler(&hc);
+    const NodeId conn = client.connect("127.0.0.1", reader.port());
+    const double t0 = client.now();
+    while (client.now() - t0 < 10.0 && hc.ups.empty()) {
+      client.poll_once(0.01);
+    }
+    ASSERT_EQ(hc.ups.size(), 1U);
+    for (int i = 0; i < 32; ++i) {
+      const auto frame = bytes_of("frame-" + std::to_string(i) + ";");
+      ASSERT_TRUE(client.send(conn, frame));
+      expected.insert(expected.end(), frame.begin(), frame.end());
+    }
+  }  // destroyed without another poll_once
+  EXPECT_EQ(reader.accept_and_read(expected.size()), expected);
 }
 
 }  // namespace

@@ -5,8 +5,9 @@
 /// arrive intact in both directions at once, an oversize send is refused
 /// outright before the connection is even up, a connection that never
 /// establishes refuses sends, and unknown handles are refused quietly.
-/// The socket transport is the epoll reactor; its own internals (shards,
-/// buffer pool, batching, counters) are covered by epoll_reactor_test.
+/// The socket transport is the epoll reactor; its own internals (buffer
+/// pool, batching, counters, callback contract) are covered by
+/// epoll_reactor_test.
 
 #include <gtest/gtest.h>
 
@@ -160,9 +161,8 @@ TEST(Tcp, BackpressureRefusesOverCap) {
   }));
   EXPECT_EQ(hs.received[hs.ups[0]], std::vector<std::uint8_t>(60, 2));
 
-  // Once drained, the cap admits another within-cap frame. The shard
-  // settles its accounting just after the write, so admission is
-  // eventual rather than instant.
+  // Once drained, the cap admits another within-cap frame (the pump
+  // retries the send until the reactor's flush has settled the queue).
   ASSERT_TRUE(pump(server, client, [&] {
     return client.send(conn, std::vector<std::uint8_t>(60, 3));
   }));

@@ -26,15 +26,15 @@
 ///   <tool> [--replicas R] [--seed S] [--out FILE] [--quick]
 
 #include <cerrno>
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <vector>
+
+#include "cli_args.h"
 
 namespace icollect::tools {
 
@@ -52,27 +52,6 @@ struct Table {
   std::string config_json;
   std::vector<std::string> points;
 };
-
-/// Value of a numeric flag: plain decimal digits only, no sign, no
-/// surrounding text, and within uint64. Anything else exits 2.
-inline std::uint64_t parse_count(const char* argv0, const char* flag,
-                                 std::string_view text) {
-  std::uint64_t v = 0;
-  const char* const end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (ec == std::errc::result_out_of_range) {
-    std::fprintf(stderr, "%s: %s value '%s' is out of range\n", argv0, flag,
-                 std::string{text}.c_str());
-    std::exit(2);
-  }
-  if (ec != std::errc{} || ptr != end) {
-    std::fprintf(stderr,
-                 "%s: %s expects an unsigned decimal integer, got '%s'\n",
-                 argv0, flag, std::string{text}.c_str());
-    std::exit(2);
-  }
-  return v;
-}
 
 /// Parse the shared flags. Prints usage and exits 0 on -h/--help; exits
 /// 2 with a message on any malformed or unknown argument.

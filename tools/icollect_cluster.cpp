@@ -28,6 +28,8 @@
 #include "obs/trace_pipeline.h"
 #include "stats/latency_histogram.h"
 
+#include "cli_args.h"
+
 namespace {
 
 void usage(const char* argv0) {
@@ -109,42 +111,48 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto count = [&](const char* flag,
+                           std::uint64_t max = UINT64_MAX) {
+      return tools::parse_count(argv[0], flag, value(flag), max);
+    };
+    const auto real = [&](const char* flag) {
+      return tools::parse_real(argv[0], flag, value(flag));
+    };
     if (arg == "-h" || arg == "--help") {
       usage(argv[0]);
       return 0;
     } else if (arg == "--peers") {
-      cfg.num_peers = std::strtoul(value("--peers"), nullptr, 10);
+      cfg.num_peers = count("--peers");
     } else if (arg == "--servers") {
-      cfg.num_servers = std::strtoul(value("--servers"), nullptr, 10);
+      cfg.num_servers = count("--servers");
     } else if (arg == "--segment-size") {
-      cfg.segment_size = std::strtoul(value("--segment-size"), nullptr, 10);
+      cfg.segment_size = count("--segment-size");
     } else if (arg == "--buffer-cap") {
-      cfg.buffer_cap = std::strtoul(value("--buffer-cap"), nullptr, 10);
+      cfg.buffer_cap = count("--buffer-cap");
     } else if (arg == "--payload-bytes") {
-      cfg.payload_bytes = std::strtoul(value("--payload-bytes"), nullptr, 10);
+      cfg.payload_bytes = count("--payload-bytes");
     } else if (arg == "--lambda") {
-      cfg.lambda = std::strtod(value("--lambda"), nullptr);
+      cfg.lambda = real("--lambda");
     } else if (arg == "--mu") {
-      cfg.mu = std::strtod(value("--mu"), nullptr);
+      cfg.mu = real("--mu");
     } else if (arg == "--gamma") {
-      cfg.gamma = std::strtod(value("--gamma"), nullptr);
+      cfg.gamma = real("--gamma");
     } else if (arg == "--server-rate") {
-      cfg.server_rate = std::strtod(value("--server-rate"), nullptr);
+      cfg.server_rate = real("--server-rate");
     } else if (arg == "--capacity") {
-      capacity = std::strtod(value("--capacity"), nullptr);
+      capacity = real("--capacity");
     } else if (arg == "--segments-per-peer") {
-      cfg.segments_per_peer =
-          std::strtoul(value("--segments-per-peer"), nullptr, 10);
+      cfg.segments_per_peer = count("--segments-per-peer");
     } else if (arg == "--max-time") {
-      max_time = std::strtod(value("--max-time"), nullptr);
+      max_time = real("--max-time");
     } else if (arg == "--latency") {
-      cfg.net.latency = std::strtod(value("--latency"), nullptr);
+      cfg.net.latency = real("--latency");
     } else if (arg == "--jitter") {
-      cfg.net.latency_jitter = std::strtod(value("--jitter"), nullptr);
+      cfg.net.latency_jitter = real("--jitter");
     } else if (arg == "--drop") {
-      cfg.net.drop_probability = std::strtod(value("--drop"), nullptr);
+      cfg.net.drop_probability = real("--drop");
     } else if (arg == "--chunk-bytes") {
-      cfg.net.chunk_bytes = std::strtoul(value("--chunk-bytes"), nullptr, 10);
+      cfg.net.chunk_bytes = count("--chunk-bytes");
     } else if (arg == "--drop-on-ack") {
       cfg.drop_on_ack = true;
     } else if (arg == "--no-retain") {
@@ -161,12 +169,12 @@ int main(int argc, char** argv) {
       }
       cfg.pull_policy = *kind;
     } else if (arg == "--seed") {
-      cfg.seed = std::strtoull(value("--seed"), nullptr, 10);
+      cfg.seed = count("--seed");
       cfg.net.seed = cfg.seed;
     } else if (arg == "--metrics-out") {
       metrics_out = value("--metrics-out");
     } else if (arg == "--metrics-interval") {
-      metrics_interval = std::strtod(value("--metrics-interval"), nullptr);
+      metrics_interval = real("--metrics-interval");
     } else if (arg == "--trace-out") {
       trace_out = value("--trace-out");
     } else if (arg == "--scenario") {

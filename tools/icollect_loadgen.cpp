@@ -19,7 +19,7 @@
 /// counts them stale) — round-trip flow continues indefinitely, which is
 /// what the measurement window meters.
 ///
-///   icollect_loadgen --target 127.0.0.1:9100 --peers 10000 \
+///   icollect_loadgen --target 127.0.0.1:9100 --peers 10000
 ///       --backend epoll --segments 64 --duration 30 --measure 10
 ///
 /// Exit 0 iff every peer established+handshook and (when --segments > 0)
@@ -45,6 +45,8 @@
 #include "wire/frame.h"
 #include "wire/message.h"
 
+#include "cli_args.h"
+
 namespace {
 
 using namespace icollect;
@@ -66,7 +68,8 @@ void usage(const char* argv0) {
       "                      (default 4)\n"
       "  --payload-bytes n   payload per coded block (default 64)\n"
       "  --backend NAME      socket transport; only epoll (default)\n"
-      "  --shards N          epoll reactor threads (default auto)\n"
+      "  --shards N          accepted for compatibility; no effect (the\n"
+      "                      reactor runs on the calling thread)\n"
       "  --ramp R            connects initiated per second (default 2000)\n"
       "  --duration T        total wall-clock cap seconds (default 30)\n"
       "  --measure T         measurement window once all peers are up\n"
@@ -77,17 +80,6 @@ void usage(const char* argv0) {
       "\n"
       "Prints a one-line JSON summary (schema %s) on stdout.\n",
       argv0, kSchema);
-}
-
-bool split_host_port(const std::string& s, std::string& host,
-                     std::uint16_t& port) {
-  const auto colon = s.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= s.size()) return false;
-  host = s.substr(0, colon);
-  const long p = std::strtol(s.c_str() + colon + 1, nullptr, 10);
-  if (p <= 0 || p > 0xFFFF) return false;
-  port = static_cast<std::uint16_t>(p);
-  return true;
 }
 
 struct PeerState {
@@ -282,7 +274,6 @@ int main(int argc, char** argv) {
   std::size_t segments = 64;
   std::size_t segment_size = 4;
   std::size_t payload_bytes = 64;
-  std::size_t shards = 0;
   double ramp = 2000.0;
   double duration = 30.0;
   double measure = 5.0;
@@ -298,19 +289,26 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto count = [&](const char* flag,
+                           std::uint64_t max = UINT64_MAX) {
+      return tools::parse_count(argv[0], flag, value(flag), max);
+    };
+    const auto real = [&](const char* flag) {
+      return tools::parse_real(argv[0], flag, value(flag));
+    };
     if (arg == "-h" || arg == "--help") {
       usage(argv[0]);
       return 0;
     } else if (arg == "--target") {
       target = value("--target");
     } else if (arg == "--peers") {
-      peers = std::strtoul(value("--peers"), nullptr, 10);
+      peers = count("--peers");
     } else if (arg == "--segments") {
-      segments = std::strtoul(value("--segments"), nullptr, 10);
+      segments = count("--segments");
     } else if (arg == "--segment-size") {
-      segment_size = std::strtoul(value("--segment-size"), nullptr, 10);
+      segment_size = count("--segment-size");
     } else if (arg == "--payload-bytes") {
-      payload_bytes = std::strtoul(value("--payload-bytes"), nullptr, 10);
+      payload_bytes = count("--payload-bytes");
     } else if (arg == "--backend") {
       const std::string_view backend{value("--backend")};
       if (backend != "epoll") {
@@ -319,18 +317,21 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--shards") {
-      shards = std::strtoul(value("--shards"), nullptr, 10);
+      // Compatibility only: the reactor has no threads to size.
+      if (count("--shards") == 0) {
+        std::fprintf(stderr, "%s: --shards must be >= 1\n", argv[0]);
+        return 2;
+      }
     } else if (arg == "--ramp") {
-      ramp = std::strtod(value("--ramp"), nullptr);
+      ramp = real("--ramp");
     } else if (arg == "--duration") {
-      duration = std::strtod(value("--duration"), nullptr);
+      duration = real("--duration");
     } else if (arg == "--measure") {
-      measure = std::strtod(value("--measure"), nullptr);
+      measure = real("--measure");
     } else if (arg == "--occupancy") {
-      occupancy = static_cast<std::uint32_t>(
-          std::strtoul(value("--occupancy"), nullptr, 10));
+      occupancy = static_cast<std::uint32_t>(count("--occupancy", 0xFFFFFFFFU));
     } else if (arg == "--seed") {
-      seed = std::strtoull(value("--seed"), nullptr, 10);
+      seed = count("--seed");
     } else {
       std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
                    std::string{arg}.c_str());
@@ -340,7 +341,7 @@ int main(int argc, char** argv) {
   }
   std::string host;
   std::uint16_t port = 0;
-  if (target.empty() || !split_host_port(target, host, port)) {
+  if (target.empty() || !tools::split_host_port(target, host, port)) {
     std::fprintf(stderr, "%s: need --target HOST:PORT\n", argv[0]);
     usage(argv[0]);
     return 2;
@@ -355,7 +356,6 @@ int main(int argc, char** argv) {
   topts.connect_timeout = 5.0;
   topts.connect_retries = 10;  // SYN backlog overflow during the ramp
   topts.retry_backoff = 0.2;
-  topts.reactor_shards = shards;
   std::unique_ptr<net::EpollReactor> transport;
   try {
     transport = std::make_unique<net::EpollReactor>(topts);

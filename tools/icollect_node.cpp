@@ -4,19 +4,20 @@
 /// other icollect_node processes.
 ///
 ///   # terminal 1 — server listening on 9100, expecting 8 segments
-///   icollect_node --role server --listen 127.0.0.1:9100 \
+///   icollect_node --role server --listen 127.0.0.1:9100
 ///                 --expect-segments 8 --pull-rate 50
 ///   # terminal 2 — peer: listen for other peers, feed the server
-///   icollect_node --role peer --listen 127.0.0.1:9101 \
+///   icollect_node --role peer --listen 127.0.0.1:9101
 ///                 --connect 127.0.0.1:9100 --segments 4
 ///   # terminal 3 — second peer, meshing with both
-///   icollect_node --role peer --connect 127.0.0.1:9100 \
+///   icollect_node --role peer --connect 127.0.0.1:9100
 ///                 --connect 127.0.0.1:9101 --segments 4
 ///
 /// A peer exits 0 once every segment it injected has been ACKed
 /// decoded; a server exits 0 once --expect-segments segments decoded.
 /// --duration caps the wall-clock wait (exit 1 on timeout).
 
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -35,6 +36,8 @@
 #include "obs/metrics_registry.h"
 #include "obs/snapshotter.h"
 #include "obs/trace_pipeline.h"
+
+#include "cli_args.h"
 
 namespace {
 
@@ -82,28 +85,19 @@ void usage(const char* argv0) {
       "  --metrics-interval T   sample spacing in seconds (default 0.5)\n"
       "  --trace-out FILE       protocol event trace JSONL\n"
       "  --backend NAME         socket transport; only epoll (default)\n"
-      "  --shards N             epoll reactor threads (default auto)\n"
+      "  --shards N             accepted for compatibility; no effect (the\n"
+      "                         reactor runs on the calling thread)\n"
       "  --backlog N            listen(2) backlog (default SOMAXCONN)\n"
       "\n"
       "SIGUSR1 dumps a one-line stats snapshot to stderr.\n",
       argv0);
 }
 
-bool split_host_port(const std::string& s, std::string& host,
-                     std::uint16_t& port) {
-  const auto colon = s.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= s.size()) return false;
-  host = s.substr(0, colon);
-  const long p = std::strtol(s.c_str() + colon + 1, nullptr, 10);
-  if (p <= 0 || p > 0xFFFF) return false;
-  port = static_cast<std::uint16_t>(p);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace icollect;
+  using tools::split_host_port;
 
   std::string role;
   std::string listen_at;
@@ -121,7 +115,6 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   std::string trace_out;
   double metrics_interval = 0.5;
-  std::size_t shards = 0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg{argv[i]};
@@ -131,6 +124,13 @@ int main(int argc, char** argv) {
         std::exit(2);
       }
       return argv[++i];
+    };
+    const auto count = [&](const char* flag,
+                           std::uint64_t max = UINT64_MAX) {
+      return tools::parse_count(argv[0], flag, value(flag), max);
+    };
+    const auto real = [&](const char* flag) {
+      return tools::parse_real(argv[0], flag, value(flag));
     };
     if (arg == "-h" || arg == "--help") {
       usage(argv[0]);
@@ -142,22 +142,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--connect") {
       connect_to.emplace_back(value("--connect"));
     } else if (arg == "--node-id") {
-      cfg.node_id = static_cast<std::uint32_t>(
-          std::strtoul(value("--node-id"), nullptr, 10));
+      cfg.node_id = static_cast<std::uint32_t>(count("--node-id", 0xFFFFFFFFU));
     } else if (arg == "--segment-size") {
-      cfg.segment_size = std::strtoul(value("--segment-size"), nullptr, 10);
+      cfg.segment_size = count("--segment-size");
     } else if (arg == "--buffer-cap") {
-      cfg.buffer_cap = std::strtoul(value("--buffer-cap"), nullptr, 10);
+      cfg.buffer_cap = count("--buffer-cap");
     } else if (arg == "--payload-bytes") {
-      cfg.payload_bytes = std::strtoul(value("--payload-bytes"), nullptr, 10);
+      cfg.payload_bytes = count("--payload-bytes");
     } else if (arg == "--lambda") {
-      cfg.lambda = std::strtod(value("--lambda"), nullptr);
+      cfg.lambda = real("--lambda");
     } else if (arg == "--mu") {
-      cfg.mu = std::strtod(value("--mu"), nullptr);
+      cfg.mu = real("--mu");
     } else if (arg == "--gamma") {
-      cfg.gamma = std::strtod(value("--gamma"), nullptr);
+      cfg.gamma = real("--gamma");
     } else if (arg == "--pull-rate") {
-      cfg.pull_rate = std::strtod(value("--pull-rate"), nullptr);
+      cfg.pull_rate = real("--pull-rate");
     } else if (arg == "--pull-policy") {
       const char* name = value("--pull-policy");
       const auto kind = proto::parse_pull_policy_kind(name);
@@ -170,18 +169,17 @@ int main(int argc, char** argv) {
       }
       cfg.pull_policy = *kind;
     } else if (arg == "--segments") {
-      cfg.max_segments = std::strtoul(value("--segments"), nullptr, 10);
+      cfg.max_segments = count("--segments");
     } else if (arg == "--expect-segments") {
-      expect_segments =
-          std::strtoul(value("--expect-segments"), nullptr, 10);
+      expect_segments = count("--expect-segments");
     } else if (arg == "--duration") {
-      duration = std::strtod(value("--duration"), nullptr);
+      duration = real("--duration");
     } else if (arg == "--seed") {
-      cfg.seed = std::strtoull(value("--seed"), nullptr, 10);
+      cfg.seed = count("--seed");
     } else if (arg == "--metrics-out") {
       metrics_out = value("--metrics-out");
     } else if (arg == "--metrics-interval") {
-      metrics_interval = std::strtod(value("--metrics-interval"), nullptr);
+      metrics_interval = real("--metrics-interval");
     } else if (arg == "--trace-out") {
       trace_out = value("--trace-out");
     } else if (arg == "--backend") {
@@ -192,10 +190,13 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--shards") {
-      shards = std::strtoul(value("--shards"), nullptr, 10);
+      // Compatibility only: the reactor has no threads to size.
+      if (count("--shards") == 0) {
+        std::fprintf(stderr, "%s: --shards must be >= 1\n", argv[0]);
+        return 2;
+      }
     } else if (arg == "--backlog") {
-      cfg.listen_backlog =
-          static_cast<int>(std::strtol(value("--backlog"), nullptr, 10));
+      cfg.listen_backlog = static_cast<int>(count("--backlog", INT_MAX));
     } else {
       std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
                    std::string{arg}.c_str());
@@ -240,7 +241,6 @@ int main(int argc, char** argv) {
   topts.connect_retries = 20;  // peers may start before their server
   topts.retry_backoff = 0.25;
   topts.listen_backlog = cfg.listen_backlog;
-  topts.reactor_shards = shards;
   std::unique_ptr<net::EpollReactor> transport;
   try {
     transport = std::make_unique<net::EpollReactor>(topts);
